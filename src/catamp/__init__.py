@@ -26,11 +26,9 @@ from .coeffs import (
 )
 from .rho_terms import DensityTerm, TermClass, coherent_overlap, enumerate_terms
 from .charfn import (
-    CharPoint,
     MAX_MOMENT_ORDER,
     OrderTooHigh,
     char_full,
-    char_point,
     char_term,
     moment,
     single_mode_char,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplifierParams",
     "CatSpec",
-    "CharPoint",
     "DegenerateCat",
     "DensityTerm",
     "Distribution",
@@ -94,7 +91,6 @@ __all__ = [
     "TermClass",
     "TruncationWarning",
     "char_full",
-    "char_point",
     "char_term",
     "coeffs_at",
     "coherent_overlap",

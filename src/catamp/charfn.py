@@ -9,7 +9,6 @@ numerical differentiation enters the production path.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .coeffs import EvolvedCoeffs, coeffs_at, evolved_amplitudes
 from .params import System
@@ -21,15 +20,6 @@ class OrderTooHigh(ValueError):
 
 
 MAX_MOMENT_ORDER = 4
-
-
-@dataclass(frozen=True)
-class CharPoint:
-    """A sampled characteristic-function value at (zeta1, zeta2)."""
-
-    zeta1: complex
-    zeta2: complex
-    value: complex
 
 
 def char_term(
@@ -62,10 +52,6 @@ def char_full(system: System, t: float, zeta1: complex, zeta2: complex) -> compl
     terms, norm = enumerate_terms(system.cat1, system.cat2)
     coeffs = coeffs_at(system.params, t)
     return norm * sum(char_term(term, coeffs, zeta1, zeta2) for term in terms)
-
-
-def char_point(system: System, t: float, zeta1: complex, zeta2: complex) -> CharPoint:
-    return CharPoint(zeta1, zeta2, char_full(system, t, zeta1, zeta2))
 
 
 # --- moment extraction ------------------------------------------------------

@@ -9,11 +9,12 @@ configuration, 3 numeric warning escalated under --strict.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from . import oracle
 from .charfn import moment
 from .coeffs import NearSingularDenominator
 from .params import AmplifierParams, CatSpec, System
-from .photon_stats import TruncationWarning, factorial_moments, single_pnd, sum_pnd
+from .photon_stats import (MAX_FACTORIAL_ORDER, TruncationWarning, factorial_moments,
+                           single_pnd, sum_pnd)
 from .rho_terms import TermClass
 from .squeezing import single_mode_squeezing, two_mode_squeezing
 from .wigner import GridSpec, SupportWarning, count_peaks, wigner_cut, wigner_grid
@@ -65,15 +67,10 @@ def _cat_from_dict(d: dict, where: str) -> CatSpec:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _cat_to_dict(cat: CatSpec) -> dict:
-    return {"amp_mag": cat.amp_mag, "amp_phase": cat.amp_phase, "rel_phase": cat.rel_phase}
-
-
 def _params_from_dict(d: dict) -> AmplifierParams:
     if not isinstance(d, dict):
         raise ConfigError("params: expected an object")
-    known = {"g", "pump_phase", "gamma1", "gamma2", "nbar1", "nbar2"}
-    bad = set(d) - known
+    bad = set(d) - {f.name for f in fields(AmplifierParams)}
     if bad:
         raise ConfigError(f"params: unknown fields {sorted(bad)}")
     if "g" not in d:
@@ -82,6 +79,12 @@ def _params_from_dict(d: dict) -> AmplifierParams:
         return AmplifierParams(**{k: float(v) for k, v in d.items()})
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
+
+
+def _check_time(t: float, where: str) -> float:
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError(f"{where}: must be finite and >= 0")
+    return t
 
 
 @dataclass
@@ -108,18 +111,7 @@ class RunConfig:
         return System(self.cat1, self.cat2, self.params)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["cat1"] = _cat_to_dict(self.cat1)
-        d["cat2"] = _cat_to_dict(self.cat2)
-        d["params"] = {
-            "g": self.params.g,
-            "pump_phase": self.params.pump_phase,
-            "gamma1": self.params.gamma1,
-            "gamma2": self.params.gamma2,
-            "nbar1": self.params.nbar1,
-            "nbar2": self.params.nbar2,
-        }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -128,37 +120,40 @@ class RunConfig:
         for key in ("cat1", "cat2", "params", "time"):
             if key not in d:
                 raise ConfigError(f"{key}: required")
-        fields = dict(d)
+        rest = dict(d)
         cfg = cls(
-            scenario=str(fields.pop("scenario", "run")),
-            cat1=_cat_from_dict(fields.pop("cat1"), "cat1"),
-            cat2=_cat_from_dict(fields.pop("cat2"), "cat2"),
-            params=_params_from_dict(fields.pop("params")),
-            time=float(fields.pop("time")),
+            scenario=str(rest.pop("scenario", "run")),
+            cat1=_cat_from_dict(rest.pop("cat1"), "cat1"),
+            cat2=_cat_from_dict(rest.pop("cat2"), "cat2"),
+            params=_params_from_dict(rest.pop("params")),
+            time=float(rest.pop("time")),
         )
         for key in ("observable", "format", "out"):
-            if key in fields:
-                setattr(cfg, key, str(fields.pop(key)))
+            if key in rest:
+                setattr(cfg, key, str(rest.pop(key)))
         for key in ("mode", "k"):
-            if key in fields:
-                setattr(cfg, key, int(fields.pop(key)))
-        if "n_max" in fields:
-            raw = fields.pop("n_max")
+            if key in rest:
+                setattr(cfg, key, int(rest.pop(key)))
+        if "n_max" in rest:
+            raw = rest.pop("n_max")
             cfg.n_max = None if raw is None else int(raw)
-        if "cut_y" in fields:
-            cfg.cut_y = float(fields.pop("cut_y"))
+        if "cut_y" in rest:
+            cfg.cut_y = float(rest.pop("cut_y"))
         for key in ("grid", "scan"):
-            if key in fields:
-                raw = fields.pop(key)
+            if key in rest:
+                raw = rest.pop(key)
                 if raw is not None and not isinstance(raw, dict):
                     raise ConfigError(f"{key}: expected an object")
                 setattr(cfg, key, raw)
-        if fields:
-            raise ConfigError(f"config: unknown fields {sorted(fields)}")
-        if cfg.time < 0:
-            raise ConfigError("time: must be >= 0")
+        if rest:
+            raise ConfigError(f"config: unknown fields {sorted(rest)}")
+        _check_time(cfg.time, "time")
         if cfg.mode not in (1, 2):
             raise ConfigError("mode: must be 1 or 2")
+        if not 0 <= cfg.k <= MAX_FACTORIAL_ORDER:
+            raise ConfigError(f"k: must be between 0 and {MAX_FACTORIAL_ORDER}")
+        if cfg.n_max is not None and cfg.n_max < 0:
+            raise ConfigError("n_max: must be >= 0")
         if cfg.format not in ("csv", "json"):
             raise ConfigError("format: must be 'csv' or 'json'")
         return cfg
@@ -221,60 +216,36 @@ def _emit(out: str, fmt: str, header: list[str], columns: list, meta: dict) -> l
     return [out]
 
 
-# --- figure presets -------------------------------------------------------------
-
-FIGURE_IDS = ("1a", "1b", "1c", "2a", "2b", "3", "4", "5",
-              "6", "7a", "7b", "7c", "8a", "8b", "9a", "9b", "10")
+def _cat(kind: str, amp_mag: float, amp_phase: float = 0.0) -> CatSpec:
+    return CatSpec(amp_mag, amp_phase, _CAT_KINDS[kind])
 
 
-def _ecs_pair(a1: float, a2: float, gamma: float = 0.0, nbar: float = 0.0) -> System:
-    return System(
-        CatSpec.even(a1),
-        CatSpec.even(a2),
-        AmplifierParams(g=1.0, pump_phase=math.pi / 2, gamma1=gamma, gamma2=gamma,
-                        nbar1=nbar, nbar2=nbar),
-    )
+def _amp(g: float, gamma: float = 0.0, nbar: float = 0.0,
+         pump: float = math.pi / 2) -> AmplifierParams:
+    """Amplifier with equal losses and reservoirs on both modes."""
+    return AmplifierParams(g=g, pump_phase=pump, gamma1=gamma, gamma2=gamma,
+                           nbar1=nbar, nbar2=nbar)
 
 
 def _resolved(system: System, t: float, **extra) -> dict:
-    return {
-        "cat1": _cat_to_dict(system.cat1),
-        "cat2": _cat_to_dict(system.cat2),
-        "params": {
-            "g": system.params.g,
-            "pump_phase": system.params.pump_phase,
-            "gamma1": system.params.gamma1,
-            "gamma2": system.params.gamma2,
-            "nbar1": system.params.nbar1,
-            "nbar2": system.params.nbar2,
-        },
-        "time": t,
-        **extra,
-    }
+    return {**asdict(system), "time": t, **extra}
 
 
-def _figure_wigner(system: System, t: float, cut_y: float):
-    grid = wigner_grid(system, t)
-    xs, cut = wigner_cut(system, t, y=cut_y)
-    nx, ny = grid.spec.nx, grid.spec.ny
-    xcol = np.tile(grid.x, ny)
-    ycol = np.repeat(grid.y, nx)
-    wcol = grid.values.reshape(-1)
-    wmax = float(grid.values.max())
+def _wigner(system: System, t: float, spec: GridSpec | None, mode: int, cut_y: float):
+    """Columns x, y, w of one mode's Wigner grid, its features, cut and grid spec."""
+    grid = wigner_grid(system, t, spec, mode=mode)
+    xs, ws = wigner_cut(system, t, y=cut_y, mode=mode)
+    columns = [np.tile(grid.x, grid.spec.ny), np.repeat(grid.y, grid.spec.nx),
+               grid.values.reshape(-1)]
     features = {
         "grid_min": float(grid.values.min()),
-        "grid_max": wmax,
-        "min_on_cut": float(cut.min()),
-        "min_on_cut_rel": float(cut.min() / wmax),
-        "cut_y": cut_y,
+        "grid_max": float(grid.values.max()),
+        "min_on_cut": float(ws.min()),
         "peak_count": count_peaks(grid),
         "integral": grid.integral(),
     }
-    extra = {
-        "cut": {"x": [float(v) for v in xs], "w": [float(v) for v in cut]},
-        "grid_spec": asdict(grid.spec),
-    }
-    return ["x", "y", "w"], [xcol, ycol, wcol], features, extra
+    cut = {"x": [float(v) for v in xs], "w": [float(v) for v in ws]}
+    return columns, features, cut, grid.spec
 
 
 def _pnd_features(columns: dict[str, np.ndarray]) -> dict:
@@ -286,182 +257,150 @@ def _pnd_features(columns: dict[str, np.ndarray]) -> dict:
     return out
 
 
-def _figure(fig_id: str):
-    """Return (header, columns, features, resolved-params) for one preset."""
-    if fig_id in ("1a", "1b", "1c"):
-        amps = {"1a": (2.0, 2.0), "1b": (3.0, 2.0), "1c": (2.0, 3.0)}[fig_id]
-        system = _ecs_pair(*amps)
-        header, cols, features, extra = _figure_wigner(system, 0.55, -0.25)
-        return header, cols, features, _resolved(system, 0.55, **extra)
+# --- figure presets -------------------------------------------------------------
+#
+# Each preset function returns (header, columns, features, resolved parameters); cats
+# are (kind, |alpha|[, arg alpha]) and amplifier settings are _amp keywords.
 
-    if fig_id in ("2a", "2b"):
-        gamma = 5.0 if fig_id == "2a" else 1.0  # 2g+3 / 2g-1 at g=1
-        system = _ecs_pair(3.0, 2.0, gamma=gamma, nbar=1.0)
-        header, cols, features, extra = _figure_wigner(system, 0.55, -0.25)
-        return header, cols, features, _resolved(system, 0.55, **extra)
 
-    if fig_id == "3":
-        out = {}
-        for label, pp in (("psi_plus", math.pi / 2), ("psi_minus", -math.pi / 2)):
-            system = System(CatSpec.yurke_stoler(3.0), CatSpec.yurke_stoler(2.0),
-                            AmplifierParams(g=1.0, pump_phase=pp))
-            out[label] = single_pnd(1, system, 0.55, n_max=120).probs
-        features = _pnd_features(out)
-        n = np.arange(121)
-        return (["n", "p_psi_plus", "p_psi_minus"], [n, out["psi_plus"], out["psi_minus"]],
-                features, _resolved(system, 0.55, note="two pump phases +-pi/2"))
+def _fig_wigner(amps, gamma=0.0, nbar=0.0, t=0.55, cut_y=-0.25):
+    """Signal-mode Wigner function of even(amps[0]) x even(amps[1]), g = 1."""
+    system = System(_cat("even", amps[0]), _cat("even", amps[1]), _amp(1.0, gamma, nbar))
+    columns, features, cut, spec = _wigner(system, t, None, 1, cut_y)
+    features.update(min_on_cut_rel=features["min_on_cut"] / features["grid_max"], cut_y=cut_y)
+    return (["x", "y", "w"], columns, features,
+            _resolved(system, t, cut=cut, grid_spec=asdict(spec)))
 
-    if fig_id == "4":
-        cats = (CatSpec.yurke_stoler(2.0), CatSpec.yurke_stoler(3.0))
-        runs = {
-            "undamped": AmplifierParams(g=1.0, pump_phase=math.pi / 2),
-            "underdamped": AmplifierParams(g=1.0, pump_phase=math.pi / 2,
-                                           gamma1=1.0, gamma2=1.0, nbar1=1.0, nbar2=1.0),
-            "overdamped": AmplifierParams(g=1.0, pump_phase=math.pi / 2,
-                                          gamma1=3.0, gamma2=3.0, nbar1=1.0, nbar2=1.0),
-        }
-        out = {}
-        for label, params in runs.items():
-            out[label] = single_pnd(1, System(*cats, params), 0.55, n_max=120).probs
-        n = np.arange(121)
-        sysref = System(*cats, runs["undamped"])
-        return (["n", "p_undamped", "p_underdamped", "p_overdamped"],
-                [n, out["undamped"], out["underdamped"], out["overdamped"]],
-                _pnd_features(out),
-                _resolved(sysref, 0.55, damped="underdamped gamma=2g-1, overdamped 2g+1, nbar=1"))
 
-    if fig_id == "5":
-        a1 = math.sqrt(0.7)
-        a2sq = np.linspace(0.01, 6.0, 120)
-        t = 0.2
-        undamped = AmplifierParams(g=1.0, pump_phase=math.pi / 2)
-        damp0 = AmplifierParams(g=1.0, pump_phase=math.pi / 2, gamma1=0.4, gamma2=0.4)
-        damp01 = AmplifierParams(g=1.0, pump_phase=math.pi / 2, gamma1=0.4, gamma2=0.4,
-                                 nbar1=0.1, nbar2=0.1)
-        curves = {"q_ee": [], "q_ey": [], "q_eo": [], "q_ee_damped_nbar0": [],
-                  "q_ee_damped_nbar01": []}
-        for x2 in a2sq:
-            a2 = math.sqrt(x2)
-            curves["q_ee"].append(
-                single_mode_squeezing(1, System(CatSpec.even(a1), CatSpec.even(a2), undamped), t).Q)
-            curves["q_ey"].append(
-                single_mode_squeezing(1, System(CatSpec.even(a1), CatSpec.yurke_stoler(a2), undamped), t).Q)
-            curves["q_eo"].append(
-                single_mode_squeezing(1, System(CatSpec.even(a1), CatSpec.odd(a2), undamped), t).Q)
-            curves["q_ee_damped_nbar0"].append(
-                single_mode_squeezing(1, System(CatSpec.even(a1), CatSpec.even(a2), damp0), t).Q)
-            curves["q_ee_damped_nbar01"].append(
-                single_mode_squeezing(1, System(CatSpec.even(a1), CatSpec.even(a2), damp01), t).Q)
-        features = {f"min_{k}": float(np.min(v)) for k, v in curves.items()}
-        sysref = System(CatSpec.even(a1), CatSpec.even(1.0), undamped)
-        return (["alpha2_sq"] + list(curves),
-                [a2sq] + [np.array(v) for v in curves.values()],
-                features,
-                _resolved(sysref, t, scan="alpha2_sq", damped="gamma=2g-1.6, nbar in {0, 0.1}"))
+def _fig_pnd(cats, runs, mode=None, n_max=None, ref=None, t=0.55, **extra):
+    """Photon-number distributions of one cat pair, one column per run.
 
-    if fig_id in ("6", "7a", "7b", "7c"):
-        system = System(CatSpec.even(3.0), CatSpec.even(2.0),
-                        AmplifierParams(g=1e4, pump_phase=math.pi / 2))
-        t = 3e-4
-        dist = sum_pnd(system, t)
-        part = {
-            "6": dist.probs,
-            "7a": dist.class_parts[TermClass.MIXTURE],
-            "7b": dist.class_parts[TermClass.SYM_INTERFERENCE],
-            "7c": dist.class_parts[TermClass.ASYM_INTERFERENCE],
-        }[fig_id]
-        n = np.arange(dist.n_max + 1)
-        features = {
-            "odd_mass": float(np.sum(part[1::2])),
-            "total": float(np.sum(part)),
-            "min": float(np.min(part)),
-            "max": float(np.max(part)),
-            "n_max": dist.n_max,
-        }
-        return ["n", "p"], [n, part], features, _resolved(system, t, component=fig_id)
+    runs maps column name -> amplifier settings; mode None takes the sum
+    n1 + n2, 1 or 2 that mode's marginal.  The sidecar records the run named
+    by ref, the first by default.
+    """
+    systems = {col: System(_cat(*cats[0]), _cat(*cats[1]), _amp(**run))
+               for col, run in runs.items()}
+    out = {col: (sum_pnd(s, t, n_max=n_max) if mode is None
+                 else single_pnd(mode, s, t, n_max=n_max)).probs
+           for col, s in systems.items()}
+    n = np.arange(len(next(iter(out.values()))))
+    features = _pnd_features({col.removeprefix("p_"): p for col, p in out.items()})
+    return (["n", *out], [n, *out.values()], features,
+            _resolved(systems[ref or next(iter(runs))], t, **extra))
 
-    if fig_id == "8a":
-        system = System(CatSpec.yurke_stoler(3.0), CatSpec.yurke_stoler(2.0),
-                        AmplifierParams(g=1.0, pump_phase=math.pi / 2))
-        dist = sum_pnd(system, 0.55)
-        n = np.arange(dist.n_max + 1)
-        return (["n", "p"], [n, dist.probs], _pnd_features({"p": dist.probs}),
-                _resolved(system, 0.55))
 
-    if fig_id == "8b":
-        cats = (CatSpec.yurke_stoler(3.0), CatSpec.yurke_stoler(2.0))
-        runs = {
-            "underdamped": AmplifierParams(g=0.5, pump_phase=math.pi / 2,
-                                           gamma1=0.1, gamma2=0.1, nbar1=0.5, nbar2=0.5),
-            "overdamped": AmplifierParams(g=0.5, pump_phase=math.pi / 2,
-                                          gamma1=1.1, gamma2=1.1, nbar1=0.5, nbar2=0.5),
-        }
-        out = {label: sum_pnd(System(*cats, params), 0.55, n_max=100).probs
-               for label, params in runs.items()}
-        n = np.arange(101)
-        sysref = System(*cats, runs["underdamped"])
-        return (["n", "p_underdamped", "p_overdamped"],
-                [n, out["underdamped"], out["overdamped"]],
-                _pnd_features(out),
-                _resolved(sysref, 0.55, damped="(g,nbar,gamma) = (0.5,0.5,2g-+0.9/0.1)"))
+def _fig_curves(x_name, xs, amps, value, curves, t=0.2, **extra):
+    """Curve families value(system, t) along x = np.linspace(*xs).
 
-    if fig_id in ("9a", "9b"):
-        psis = np.linspace(0.0, 2.0 * math.pi, 61)
-        surf = np.empty((61, 61))
-        for i, p1 in enumerate(psis):
-            for j, p2 in enumerate(psis):
-                system = System(CatSpec.even(0.7, p1), CatSpec.even(0.7, p2),
-                                AmplifierParams(g=1.0, pump_phase=math.pi / 2))
-                sq = two_mode_squeezing(system, 0.2)
-                surf[i, j] = sq.S if fig_id == "9a" else sq.Q
-        p1col = np.repeat(psis, 61)
-        p2col = np.tile(psis, 61)
-        vals = surf.reshape(-1)
-        imin = int(np.argmin(vals))
-        features = {
-            "min": float(vals.min()),
-            "max": float(vals.max()),
-            "argmin_psi1": float(p1col[imin]),
-            "argmin_psi2": float(p2col[imin]),
-        }
-        sysref = System(CatSpec.even(0.7), CatSpec.even(0.7),
-                        AmplifierParams(g=1.0, pump_phase=math.pi / 2))
-        return (["psi1", "psi2", "factor"], [p1col, p2col, vals], features,
-                _resolved(sysref, 0.2, scan="psi1 x psi2",
-                          component="S" if fig_id == "9a" else "Q"))
+    amps(x) gives (|alpha1|, |alpha2|); each curve is (kind1, kind2, amplifier
+    settings).  The sidecar records the first curve at x = 1.
+    """
+    def system_at(x, kind1, kind2, run):
+        a1, a2 = amps(x)
+        return System(_cat(kind1, a1), _cat(kind2, a2), _amp(**run))
 
-    if fig_id == "10":
-        a1_grid = np.linspace(0.05, 3.0, 120)
-        t, k = 0.2, 5
-        undamped = AmplifierParams(g=0.5, pump_phase=math.pi / 2)
-        under = AmplifierParams(g=0.5, pump_phase=math.pi / 2,
-                                gamma1=0.4, gamma2=0.4, nbar1=0.5, nbar2=0.5)
-        over = AmplifierParams(g=0.5, pump_phase=math.pi / 2,
-                               gamma1=1.1, gamma2=1.1, nbar1=0.5, nbar2=0.5)
-        curves = {"kc_oo": [], "kc_oe": [], "kc_oo_underdamped": [], "kc_oo_overdamped": []}
-        for a1 in a1_grid:
-            oo = System(CatSpec.odd(a1), CatSpec.odd(0.25), undamped)
-            oe = System(CatSpec.odd(a1), CatSpec.even(0.25), undamped)
-            curves["kc_oo"].append(factorial_moments(oo, t, k)[1])
-            curves["kc_oe"].append(factorial_moments(oe, t, k)[1])
-            curves["kc_oo_underdamped"].append(
-                factorial_moments(System(CatSpec.odd(a1), CatSpec.odd(0.25), under), t, k)[1])
-            curves["kc_oo_overdamped"].append(
-                factorial_moments(System(CatSpec.odd(a1), CatSpec.odd(0.25), over), t, k)[1])
-        features = {f"min_{name}": float(np.min(v)) for name, v in curves.items()}
-        sysref = System(CatSpec.odd(1.0), CatSpec.odd(0.25), undamped)
-        return (["alpha1"] + list(curves),
-                [a1_grid] + [np.array(v) for v in curves.values()],
-                features, _resolved(sysref, t, k=k, scan="alpha1"))
+    xs = np.linspace(*xs)
+    rows = np.array([[value(system_at(x, *curve), t) for curve in curves.values()]
+                     for x in xs])
+    features = {f"min_{name}": float(np.min(col)) for name, col in zip(curves, rows.T)}
+    return ([x_name, *curves], [xs, *rows.T], features,
+            _resolved(system_at(1.0, *next(iter(curves.values()))), t, scan=x_name, **extra))
 
-    raise UnknownFigure(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
+
+def _fig_parts(component, part, t=3e-4):
+    """Figure 6 distribution of n1 + n2 (part None) or one class part of it."""
+    system = System(_cat("even", 3.0), _cat("even", 2.0), _amp(1e4))
+    dist = sum_pnd(system, t)
+    p = dist.probs if part is None else dist.class_parts[part]
+    features = {
+        "odd_mass": float(np.sum(p[1::2])),
+        "total": float(np.sum(p)),
+        "min": float(np.min(p)),
+        "max": float(np.max(p)),
+        "n_max": dist.n_max,
+    }
+    return (["n", "p"], [np.arange(dist.n_max + 1), p], features,
+            _resolved(system, t, component=component))
+
+
+def _fig_phase_scan(component):
+    """Two-mode squeezing factor S or Q over the amplitude phases psi1 x psi2."""
+    def system_at(psi1, psi2):
+        return System(_cat("even", 0.7, psi1), _cat("even", 0.7, psi2), _amp(1.0))
+
+    psis = np.linspace(0.0, 2.0 * math.pi, 61)
+    p1col, p2col = np.repeat(psis, 61), np.tile(psis, 61)
+    vals = np.array([getattr(two_mode_squeezing(system_at(p1, p2), 0.2), component)
+                     for p1, p2 in zip(p1col, p2col)])
+    imin = int(np.argmin(vals))
+    features = {
+        "min": float(vals.min()),
+        "max": float(vals.max()),
+        "argmin_psi1": float(p1col[imin]),
+        "argmin_psi2": float(p2col[imin]),
+    }
+    return (["psi1", "psi2", "factor"], [p1col, p2col, vals], features,
+            _resolved(system_at(0.0, 0.0), 0.2, scan="psi1 x psi2", component=component))
+
+
+_YS32 = (("yurke_stoler", 3.0), ("yurke_stoler", 2.0))
+
+_FIGURES = {
+    "1a": (_fig_wigner, dict(amps=(2.0, 2.0))),
+    "1b": (_fig_wigner, dict(amps=(3.0, 2.0))),
+    "1c": (_fig_wigner, dict(amps=(2.0, 3.0))),
+    # gamma = 2g+3 (overdamped) and 2g-1 (underdamped) at g = 1
+    "2a": (_fig_wigner, dict(amps=(3.0, 2.0), gamma=5.0, nbar=1.0)),
+    "2b": (_fig_wigner, dict(amps=(3.0, 2.0), gamma=1.0, nbar=1.0)),
+    "3": (_fig_pnd, dict(
+        cats=_YS32, mode=1, n_max=120, ref="p_psi_minus", note="two pump phases +-pi/2",
+        runs={"p_psi_plus": dict(g=1.0), "p_psi_minus": dict(g=1.0, pump=-math.pi / 2)})),
+    "4": (_fig_pnd, dict(
+        cats=(("yurke_stoler", 2.0), ("yurke_stoler", 3.0)), mode=1, n_max=120,
+        damped="underdamped gamma=2g-1, overdamped 2g+1, nbar=1",
+        runs={"p_undamped": dict(g=1.0),
+              "p_underdamped": dict(g=1.0, gamma=1.0, nbar=1.0),
+              "p_overdamped": dict(g=1.0, gamma=3.0, nbar=1.0)})),
+    "5": (_fig_curves, dict(
+        x_name="alpha2_sq", xs=(0.01, 6.0, 120), amps=lambda x: (math.sqrt(0.7), math.sqrt(x)),
+        value=lambda s, t: single_mode_squeezing(1, s, t).Q,
+        damped="gamma=2g-1.6, nbar in {0, 0.1}",
+        curves={"q_ee": ("even", "even", dict(g=1.0)),
+                "q_ey": ("even", "yurke_stoler", dict(g=1.0)),
+                "q_eo": ("even", "odd", dict(g=1.0)),
+                "q_ee_damped_nbar0": ("even", "even", dict(g=1.0, gamma=0.4)),
+                "q_ee_damped_nbar01": ("even", "even", dict(g=1.0, gamma=0.4, nbar=0.1))})),
+    "6": (_fig_parts, dict(component="6", part=None)),
+    "7a": (_fig_parts, dict(component="7a", part=TermClass.MIXTURE)),
+    "7b": (_fig_parts, dict(component="7b", part=TermClass.SYM_INTERFERENCE)),
+    "7c": (_fig_parts, dict(component="7c", part=TermClass.ASYM_INTERFERENCE)),
+    # a single run names its column "p"
+    "8a": (_fig_pnd, dict(cats=_YS32, runs={"p": dict(g=1.0)})),
+    "8b": (_fig_pnd, dict(
+        cats=_YS32, n_max=100, damped="(g,nbar,gamma) = (0.5,0.5,2g-+0.9/0.1)",
+        runs={"p_underdamped": dict(g=0.5, gamma=0.1, nbar=0.5),
+              "p_overdamped": dict(g=0.5, gamma=1.1, nbar=0.5)})),
+    "9a": (_fig_phase_scan, dict(component="S")),
+    "9b": (_fig_phase_scan, dict(component="Q")),
+    "10": (_fig_curves, dict(
+        x_name="alpha1", xs=(0.05, 3.0, 120), amps=lambda x: (x, 0.25),
+        value=lambda s, t: factorial_moments(s, t, 5)[1], k=5,
+        curves={"kc_oo": ("odd", "odd", dict(g=0.5)),
+                "kc_oe": ("odd", "even", dict(g=0.5)),
+                "kc_oo_underdamped": ("odd", "odd", dict(g=0.5, gamma=0.4, nbar=0.5)),
+                "kc_oo_overdamped": ("odd", "odd", dict(g=0.5, gamma=1.1, nbar=0.5))})),
+}
+
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def cmd_figure(fig_id: str, out: str | None, fmt: str) -> list[str]:
-    if fig_id not in FIGURE_IDS:
+    if fig_id not in _FIGURES:
         raise UnknownFigure(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
-    header, cols, features, resolved = _figure(fig_id)
-    out = out or f"figure_{fig_id}.{ 'csv' if fmt == 'csv' else 'json'}"
+    make, kwargs = _FIGURES[fig_id]
+    header, cols, features, resolved = make(**kwargs)
+    out = out or f"figure_{fig_id}.{'csv' if fmt == 'csv' else 'json'}"
     meta = {"figure": fig_id, "features": features, "resolved": resolved}
     return _emit(out, fmt, header, cols, meta)
 
@@ -477,68 +416,45 @@ _SCALAR_OBSERVABLES = ("S1", "Q1", "S2", "Q2", "S", "Q", "mean_n1", "mean_n2",
 def _eval_observable(cfg: RunConfig, system: System, t: float) -> float:
     name = cfg.observable
     if name in ("S1", "Q1", "S2", "Q2"):
-        mode = 1 if name.endswith("1") else 2
-        sq = single_mode_squeezing(mode, system, t)
-        return sq.S if name.startswith("S") else sq.Q
+        return getattr(single_mode_squeezing(int(name[1]), system, t), name[0])
     if name in ("S", "Q"):
-        sq = two_mode_squeezing(system, t)
-        return sq.S if name == "S" else sq.Q
-    if name == "mean_n1":
-        return moment(1, 1, 0, 0, system, t).real
-    if name == "mean_n2":
-        return moment(0, 0, 1, 1, system, t).real
-    if name == "kc_compound":
-        return factorial_moments(system, t, cfg.k, scope="compound")[1]
-    if name == "kc_single":
-        return factorial_moments(system, t, cfg.k, scope="single", mode=cfg.mode)[1]
+        return getattr(two_mode_squeezing(system, t), name)
+    if name in ("mean_n1", "mean_n2"):
+        return moment(*((1, 1, 0, 0) if name == "mean_n1" else (0, 0, 1, 1)), system, t).real
+    if name in ("kc_compound", "kc_single"):
+        return factorial_moments(system, t, cfg.k, scope=name[3:], mode=cfg.mode)[1]
     if name == "pnd_odd_mass":
         d = sum_pnd(system, t, n_max=cfg.n_max)
         return float(np.sum(d.probs[1::2]))
     if name == "wigner_min":
-        return float(wigner_grid(system, t, _grid_spec(cfg, system, t), mode=cfg.mode).values.min())
+        return float(wigner_grid(system, t, _grid_spec(cfg.grid), mode=cfg.mode).values.min())
     if name == "wigner_cut_min":
         return float(wigner_cut(system, t, y=cfg.cut_y, mode=cfg.mode)[1].min())
     raise ConfigError(f"observable: unknown {name!r}; choose from {_SCALAR_OBSERVABLES}")
 
 
-_SCAN_FIELDS = {
-    "t": None,
-    "cat1.amp_mag": ("cat1", "amp_mag"), "cat1.amp_phase": ("cat1", "amp_phase"),
-    "cat1.rel_phase": ("cat1", "rel_phase"),
-    "cat2.amp_mag": ("cat2", "amp_mag"), "cat2.amp_phase": ("cat2", "amp_phase"),
-    "cat2.rel_phase": ("cat2", "rel_phase"),
-    "params.g": ("params", "g"), "params.pump_phase": ("params", "pump_phase"),
-    "params.gamma1": ("params", "gamma1"), "params.gamma2": ("params", "gamma2"),
-    "params.nbar1": ("params", "nbar1"), "params.nbar2": ("params", "nbar2"),
-}
-
-
-def _apply_field(cfg: RunConfig, fieldname: str, value: float) -> tuple[System, float]:
-    if fieldname == "t":
-        return cfg.system, float(value)
-    group, attr = _SCAN_FIELDS[fieldname]
-    c1 = _cat_to_dict(cfg.cat1)
-    c2 = _cat_to_dict(cfg.cat2)
-    p = {"g": cfg.params.g, "pump_phase": cfg.params.pump_phase,
-         "gamma1": cfg.params.gamma1, "gamma2": cfg.params.gamma2,
-         "nbar1": cfg.params.nbar1, "nbar2": cfg.params.nbar2}
-    {"cat1": c1, "cat2": c2, "params": p}[group][attr] = float(value)
+def _with_field(system: System, t: float, name: str, value: float) -> tuple[System, float]:
+    """The scan point with one field ("t" or "<group>.<field>") set to value."""
+    if name == "t":
+        return system, _check_time(float(value), f"scan value {value} for t")
+    group, attr = name.split(".")
     try:
-        return System(CatSpec(**c1), CatSpec(**c2), AmplifierParams(**p)), cfg.time
+        part = replace(getattr(system, group), **{attr: float(value)})
     except ValueError as exc:
-        raise ConfigError(f"scan value {value} for {fieldname}: {exc}") from None
+        raise ConfigError(f"scan value {value} for {name}: {exc}") from None
+    return replace(system, **{group: part}), t
 
 
-def _scan_values(scan: dict, key: str, vkey: str) -> np.ndarray:
+def _scan_axis(scan: dict, key: str, vkey: str, known: set[str]) -> tuple[str, np.ndarray]:
     if key not in scan:
         raise ConfigError(f"scan.{key}: required")
     fieldname = scan[key]
-    if fieldname not in _SCAN_FIELDS:
+    if fieldname not in known:
         raise ConfigError(f"scan.{key}: unknown field {fieldname!r}")
     vals = scan.get(vkey)
     if not isinstance(vals, list) or len(vals) == 0:
         raise ConfigError(f"scan.{vkey}: must be a non-empty list")
-    return np.asarray([float(v) for v in vals])
+    return fieldname, np.asarray([float(v) for v in vals])
 
 
 def cmd_scan(cfg: RunConfig) -> list[str]:
@@ -546,104 +462,71 @@ def cmd_scan(cfg: RunConfig) -> list[str]:
         raise ConfigError("scan: required for the scan command")
     if not cfg.observable:
         raise ConfigError("observable: required for the scan command")
-    vals1 = _scan_values(cfg.scan, "parameter", "values")
-    if "parameter2" in cfg.scan:
-        vals2 = _scan_values(cfg.scan, "parameter2", "values2")
-        rows1, rows2, rows_v = [], [], []
-        for v1 in vals1:
-            sys1, t1 = _apply_field(cfg, cfg.scan["parameter"], v1)
-            for v2 in vals2:
-                cfg1 = _replace_system(cfg, sys1, t1)
-                sys2, t2 = _apply_field(cfg1, cfg.scan["parameter2"], v2)
-                rows1.append(v1)
-                rows2.append(v2)
-                rows_v.append(_eval_observable(cfg, sys2, t2))
-        header = [cfg.scan["parameter"], cfg.scan["parameter2"], cfg.observable]
-        cols = [np.asarray(rows1), np.asarray(rows2), np.asarray(rows_v)]
-    else:
-        rows_v = []
-        for v1 in vals1:
-            system, t = _apply_field(cfg, cfg.scan["parameter"], v1)
-            rows_v.append(_eval_observable(cfg, system, t))
-        header = [cfg.scan["parameter"], cfg.observable]
-        cols = [vals1, np.asarray(rows_v)]
+    base = cfg.system
+    known = {"t", *(f"{group.name}.{f.name}" for group in fields(base)
+                    for f in fields(getattr(base, group.name)))}
+    names, grids = zip(*(_scan_axis(cfg.scan, key, vkey, known)
+                         for key, vkey in (("parameter", "values"), ("parameter2", "values2"))
+                         if key == "parameter" or key in cfg.scan))
+    points = list(itertools.product(*grids))
+    results = []
+    for point in points:
+        system, t = base, cfg.time
+        for name, value in zip(names, point):
+            system, t = _with_field(system, t, name, value)
+        results.append(_eval_observable(cfg, system, t))
     meta = {"scenario": cfg.scenario, "config": cfg.to_dict()}
-    return _emit(cfg.out, cfg.format, header, cols, meta)
+    return _emit(cfg.out, cfg.format, [*names, cfg.observable],
+                 [*map(np.asarray, zip(*points)), np.asarray(results)], meta)
 
 
-def _replace_system(cfg: RunConfig, system: System, t: float) -> RunConfig:
-    out = RunConfig(scenario=cfg.scenario, cat1=system.cat1, cat2=system.cat2,
-                    params=system.params, time=t, observable=cfg.observable,
-                    mode=cfg.mode, k=cfg.k, n_max=cfg.n_max, cut_y=cfg.cut_y,
-                    grid=cfg.grid, scan=cfg.scan, out=cfg.out, format=cfg.format)
-    return out
-
-
-def _grid_spec(cfg: RunConfig, system: System, t: float) -> GridSpec | None:
-    if not cfg.grid:
+def _grid_spec(grid: dict | None) -> GridSpec | None:
+    if not grid:
         return None
-    g = cfg.grid
     try:
-        return GridSpec(
-            x_min=float(g["x_min"]), x_max=float(g["x_max"]),
-            y_min=float(g["y_min"]), y_max=float(g["y_max"]),
-            nx=int(g.get("nx", 201)), ny=int(g.get("ny", 201)),
-        )
+        spec = GridSpec(*(float(grid[k]) for k in ("x_min", "x_max", "y_min", "y_max")),
+                        nx=int(grid.get("nx", 201)), ny=int(grid.get("ny", 201)))
     except KeyError as exc:
         raise ConfigError(f"grid.{exc.args[0]}: required") from None
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+    if min(spec.nx, spec.ny) < 2:
+        raise ConfigError("grid: nx and ny must be >= 2")
+    return spec
 
 
 def cmd_wigner(cfg: RunConfig) -> list[str]:
-    system = cfg.system
-    grid = wigner_grid(system, cfg.time, _grid_spec(cfg, system, cfg.time), mode=cfg.mode)
-    xs, cut = wigner_cut(system, cfg.time, y=cfg.cut_y, mode=cfg.mode)
-    xcol = np.tile(grid.x, grid.spec.ny)
-    ycol = np.repeat(grid.y, grid.spec.nx)
-    meta = {
-        "scenario": cfg.scenario,
-        "config": cfg.to_dict(),
-        "features": {
-            "grid_min": float(grid.values.min()),
-            "grid_max": float(grid.values.max()),
-            "min_on_cut": float(cut.min()),
-            "peak_count": count_peaks(grid),
-            "integral": grid.integral(),
-        },
-        "cut": {"x": [float(v) for v in xs], "w": [float(v) for v in cut]},
-    }
-    return _emit(cfg.out, cfg.format, ["x", "y", "w"],
-                 [xcol, ycol, grid.values.reshape(-1)], meta)
+    columns, features, cut, _ = _wigner(cfg.system, cfg.time, _grid_spec(cfg.grid),
+                                        cfg.mode, cfg.cut_y)
+    meta = {"scenario": cfg.scenario, "config": cfg.to_dict(), "features": features,
+            "cut": cut}
+    return _emit(cfg.out, cfg.format, ["x", "y", "w"], columns, meta)
 
 
 def cmd_pnd(cfg: RunConfig) -> list[str]:
-    system = cfg.system
-    if cfg.observable == "single":
-        dist = single_pnd(cfg.mode, system, cfg.time, n_max=cfg.n_max)
-        header = ["n", "p"]
-        cols = [np.arange(dist.n_max + 1), dist.probs]
-        features = _pnd_features({"p": dist.probs})
-    else:
-        dist = sum_pnd(system, cfg.time, n_max=cfg.n_max)
-        header = ["n", "p", "p_mixture", "p_sym_interference", "p_asym_interference"]
-        cols = [np.arange(dist.n_max + 1), dist.probs,
-                dist.class_parts[TermClass.MIXTURE],
-                dist.class_parts[TermClass.SYM_INTERFERENCE],
-                dist.class_parts[TermClass.ASYM_INTERFERENCE]]
-        features = _pnd_features({"p": dist.probs})
-    meta = {"scenario": cfg.scenario, "config": cfg.to_dict(), "features": features}
-    return _emit(cfg.out, cfg.format, header, cols, meta)
+    dist = (single_pnd(cfg.mode, cfg.system, cfg.time, n_max=cfg.n_max)
+            if cfg.observable == "single" else sum_pnd(cfg.system, cfg.time, n_max=cfg.n_max))
+    parts = {f"p_{c.name.lower()}": p for c, p in (dist.class_parts or {}).items()}
+    meta = {"scenario": cfg.scenario, "config": cfg.to_dict(),
+            "features": _pnd_features({"p": dist.probs})}
+    return _emit(cfg.out, cfg.format, ["n", "p", *parts],
+                 [np.arange(dist.n_max + 1), dist.probs, *parts.values()], meta)
+
+
+def _squeeze_factors(system: System, t: float) -> dict[str, float]:
+    """All six squeezing factors, keyed as in oracle.squeeze_factors."""
+    single1 = single_mode_squeezing(1, system, t)
+    single2 = single_mode_squeezing(2, system, t)
+    compound = two_mode_squeezing(system, t)
+    return {"S1": single1.S, "Q1": single1.Q, "S2": single2.S, "Q2": single2.Q,
+            "S": compound.S, "Q": compound.Q}
 
 
 def cmd_squeeze(cfg: RunConfig) -> list[str]:
-    system = cfg.system
-    single1 = single_mode_squeezing(1, system, cfg.time)
-    single2 = single_mode_squeezing(2, system, cfg.time)
-    compound = two_mode_squeezing(system, cfg.time)
-    header = ["S1", "Q1", "S2", "Q2", "S", "Q"]
-    cols = [np.array([v]) for v in
-            (single1.S, single1.Q, single2.S, single2.Q, compound.S, compound.Q)]
+    factors = _squeeze_factors(cfg.system, cfg.time)
     meta = {"scenario": cfg.scenario, "config": cfg.to_dict()}
-    return _emit(cfg.out, cfg.format, header, cols, meta)
+    return _emit(cfg.out, cfg.format, list(factors),
+                 [np.array([v]) for v in factors.values()], meta)
 
 
 # --- oracle comparison ----------------------------------------------------------
@@ -665,55 +548,39 @@ def _oracle_deviations(system: System, t: float, dims: tuple[int, int],
         out[f"pnd_single_{mode}"] = float(np.max(np.abs(d1.probs - p1)))
 
     ref = oracle.squeeze_factors(evolved)
-    s1 = single_mode_squeezing(1, system, t)
-    s2 = single_mode_squeezing(2, system, t)
-    comp = two_mode_squeezing(system, t)
-    out["squeeze"] = max(
-        abs(s1.S - ref["S1"]), abs(s1.Q - ref["Q1"]),
-        abs(s2.S - ref["S2"]), abs(s2.Q - ref["Q2"]),
-        abs(comp.S - ref["S"]), abs(comp.Q - ref["Q"]),
-    )
+    out["squeeze"] = max(abs(v - ref[k]) for k, v in _squeeze_factors(system, t).items())
 
-    xs = np.linspace(-wigner_extent, wigner_extent, wigner_n)
-    z = xs[None, :] + 1j * xs[:, None]
-    w_ref = oracle.wigner(evolved, z)
     grid = wigner_grid(system, t,
                        GridSpec(-wigner_extent, wigner_extent, -wigner_extent,
                                 wigner_extent, wigner_n, wigner_n))
+    w_ref = oracle.wigner(evolved, grid.x[None, :] + 1j * grid.y[:, None])
     out["wigner"] = float(np.max(np.abs(grid.values - w_ref)))
     return out
 
 
+# envelope -> ([(case, cat1, cat2, amplifier settings, t, Fock dims)],
+#              Wigner grid half-width, Wigner points per axis)
+_ENVELOPES = {
+    "small": ([("undamped", ("even", 0.8), ("yurke_stoler", 0.6, 0.4),
+                dict(g=1.0, pump=0.7), 0.3, (16, 14))], 3.0, 21),
+    "full": ([("undamped", ("even", 1.2, 0.3), ("odd", 0.9), dict(g=1.0), 0.5, (26, 24)),
+              ("underdamped", ("even", 1.1), ("yurke_stoler", 0.9),
+               dict(g=1.0, gamma=1.0, nbar=0.5), 0.4, (22, 22)),
+              ("overdamped", ("even", 1.1), ("yurke_stoler", 0.9),
+               dict(g=1.0, gamma=3.0, nbar=0.5), 0.4, (22, 22))], 4.0, 41),
+}
+
+
 def cmd_oracle_check(envelope: str, out: str | None, fmt: str) -> list[str]:
-    if envelope == "small":
-        cases = [
-            ("undamped", System(CatSpec.even(0.8), CatSpec.yurke_stoler(0.6, 0.4),
-                                AmplifierParams(g=1.0, pump_phase=0.7)), 0.3, (16, 14)),
-        ]
-        extent, npts = 3.0, 21
-    elif envelope == "full":
-        cases = [
-            ("undamped", System(CatSpec.even(1.2, 0.3), CatSpec.odd(0.9),
-                                AmplifierParams(g=1.0, pump_phase=math.pi / 2)), 0.5, (26, 24)),
-            ("underdamped", System(CatSpec.even(1.1), CatSpec.yurke_stoler(0.9),
-                                   AmplifierParams(g=1.0, pump_phase=math.pi / 2,
-                                                   gamma1=1.0, gamma2=1.0,
-                                                   nbar1=0.5, nbar2=0.5)), 0.4, (22, 22)),
-            ("overdamped", System(CatSpec.even(1.1), CatSpec.yurke_stoler(0.9),
-                                  AmplifierParams(g=1.0, pump_phase=math.pi / 2,
-                                                  gamma1=3.0, gamma2=3.0,
-                                                  nbar1=0.5, nbar2=0.5)), 0.4, (22, 22)),
-        ]
-        extent, npts = 4.0, 41
-    else:
+    if envelope not in _ENVELOPES:
         raise ConfigError("envelope: must be 'small' or 'full'")
-    labels, observables, deviations = [], [], []
-    for label, system, t, dims in cases:
+    cases, extent, npts = _ENVELOPES[envelope]
+    rows = []
+    for label, cat1, cat2, run, t, dims in cases:
+        system = System(_cat(*cat1), _cat(*cat2), _amp(**run))
         devs = _oracle_deviations(system, t, dims, extent, npts)
-        for k, v in sorted(devs.items()):
-            labels.append(label)
-            observables.append(k)
-            deviations.append(v)
+        rows += [(label, k, v) for k, v in sorted(devs.items())]
+    labels, observables, deviations = zip(*rows)
     out = out or f"oracle_check_{envelope}.csv"
     meta = {"envelope": envelope, "max_abs_deviation": float(np.max(deviations))}
     return _emit(out, fmt, ["case", "observable", "max_abs_deviation"],
@@ -722,6 +589,14 @@ def cmd_oracle_check(envelope: str, out: str | None, fmt: str) -> list[str]:
 
 
 # --- entry point ----------------------------------------------------------------
+
+
+_CONFIG_COMMANDS = {
+    "scan": (cmd_scan, "sweep a parameter and record an observable"),
+    "wigner": (cmd_wigner, "phase-space grid and cut"),
+    "pnd": (cmd_pnd, "photon-number distribution"),
+    "squeeze": (cmd_squeeze, "squeezing factors"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -739,10 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--strict", action="store_true",
                        help="exit 3 when a numeric warning fires")
 
-    for name, help_text in (("scan", "sweep a parameter and record an observable"),
-                            ("wigner", "phase-space grid and cut"),
-                            ("pnd", "photon-number distribution"),
-                            ("squeeze", "squeezing factors")):
+    for name, (_, help_text) in _CONFIG_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--strict", action="store_true")
@@ -763,18 +635,10 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always")
             if args.command == "figure":
                 written = cmd_figure(args.id, args.out, args.format)
-            elif args.command == "scan":
-                written = cmd_scan(load_config(args.config))
-            elif args.command == "wigner":
-                written = cmd_wigner(load_config(args.config))
-            elif args.command == "pnd":
-                written = cmd_pnd(load_config(args.config))
-            elif args.command == "squeeze":
-                written = cmd_squeeze(load_config(args.config))
             elif args.command == "oracle-check":
                 written = cmd_oracle_check(args.envelope, args.out, args.format)
-            else:  # pragma: no cover - argparse enforces the choices
-                raise ConfigError(f"unknown command {args.command}")
+            else:
+                written = _CONFIG_COMMANDS[args.command][0](load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

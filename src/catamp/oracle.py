@@ -166,7 +166,7 @@ def evolve(state: FockState, params: AmplifierParams, t: float) -> FockState:
             k4 = liou @ (vec + h * k3)
             vec += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = vec.reshape(d1 * d2, d1 * d2)
-    drift = abs(1.0 - float(np.real(np.trace(rho))))
+    drift = abs(state.trace() - float(np.real(np.trace(rho))))
     if drift > _TRACE_DRIFT_TOL:
         raise StepSizeError(
             f"trace drift {drift:.3e}; increase truncation dims or reduce t"

@@ -18,6 +18,14 @@ class DegenerateCat(ValueError):
     """Odd cat at zero amplitude: the superposition is the zero vector."""
 
 
+def _finite(name: str, value: float) -> float:
+    """value as a float; ValueError naming the field unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _canonical_phase(phi: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     out = math.fmod(float(phi), TWO_PI)
@@ -43,9 +51,9 @@ class CatSpec:
     def __post_init__(self):
         if not self.amp_mag >= 0.0:
             raise ValueError(f"amp_mag must be >= 0, got {self.amp_mag}")
-        object.__setattr__(self, "amp_mag", float(self.amp_mag))
-        object.__setattr__(self, "amp_phase", _canonical_phase(self.amp_phase))
-        object.__setattr__(self, "rel_phase", _canonical_phase(self.rel_phase))
+        object.__setattr__(self, "amp_mag", _finite("amp_mag", self.amp_mag))
+        for name in ("amp_phase", "rel_phase"):
+            object.__setattr__(self, name, _canonical_phase(_finite(name, getattr(self, name))))
         if self.amp_mag == 0.0 and self.rel_phase == math.pi:
             raise DegenerateCat(
                 "odd cat with zero amplitude is the zero vector (no normalization)"
@@ -110,8 +118,9 @@ class AmplifierParams:
             val = getattr(self, name)
             if not val >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {val}")
-            object.__setattr__(self, name, float(val))
-        object.__setattr__(self, "pump_phase", _canonical_phase(self.pump_phase))
+            object.__setattr__(self, name, _finite(name, val))
+        object.__setattr__(self, "pump_phase",
+                           _canonical_phase(_finite("pump_phase", self.pump_phase)))
 
     @property
     def eps(self) -> float:

@@ -37,6 +37,13 @@ class GridSpec:
     nx: int = 201
     ny: int = 201
 
+    def __post_init__(self):
+        # one point is a line, allowed only where the axis has zero width
+        for n, lo, hi in (("nx", self.x_min, self.x_max), ("ny", self.y_min, self.y_max)):
+            size = getattr(self, n)
+            if size < 2 and not (size == 1 and lo == hi):
+                raise ValueError(f"{n} must be >= 2 (1 on a zero-width axis), got {size}")
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -55,6 +62,8 @@ class PhaseGrid:
 
     def integral(self) -> float:
         """Riemann sum of W over the grid."""
+        if min(self.spec.nx, self.spec.ny) < 2:
+            raise ValueError("integral needs nx, ny >= 2; a line grid has no area")
         dx = (self.spec.x_max - self.spec.x_min) / (self.spec.nx - 1)
         dy = (self.spec.y_max - self.spec.y_min) / (self.spec.ny - 1)
         return float(np.sum(self.values)) * dx * dy
@@ -136,11 +145,10 @@ def wigner_grid(system: System, t: float, spec: GridSpec | None = None,
 
 
 def wigner_cut(system: System, t: float, y: float = -0.25,
-               x: np.ndarray | None = None, mode: int = 1,
-               system_grid: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+               x: np.ndarray | None = None, mode: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Wigner values along a constant-y line (exact evaluation, no snapping)."""
     if x is None:
-        spec = system_grid or default_grid(system, t, mode)
+        spec = default_grid(system, t, mode)
         x = np.linspace(spec.x_min, spec.x_max, spec.nx)
     z = np.asarray(x) + 1j * y
     return np.asarray(x), _wigner_sum(system, t, z, mode)

@@ -94,6 +94,30 @@ class TestFigureCommand:
         parts = load("7a") + load("7b") + load("7c")
         assert np.max(np.abs(total - parts)) < 1e-10
 
+    # presets that no other test runs; 9a/9b (about 10 s each) are left out
+    @pytest.mark.parametrize("fig_id, header, rows", [
+        ("1a", "x,y,w", 201 * 201),
+        ("1b", "x,y,w", 201 * 201),
+        ("1c", "x,y,w", 201 * 201),
+        ("2a", "x,y,w", 201 * 201),
+        ("2b", "x,y,w", 201 * 201),
+        ("4", "n,p_undamped,p_underdamped,p_overdamped", 121),
+        ("8a", "n,p", 168),
+        ("8b", "n,p_underdamped,p_overdamped", 101),
+        ("10", "alpha1,kc_oo,kc_oe,kc_oo_underdamped,kc_oo_overdamped", 120),
+    ])
+    def test_preset_dataset(self, tmp_path, fig_id, header, rows):
+        out = tmp_path / "fig.csv"
+        assert main(["figure", fig_id, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == rows + 1
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.all(np.isfinite(data))
+        meta = json.loads((tmp_path / "fig.meta.json").read_text())
+        assert meta["figure"] == fig_id
+        assert {"cat1", "cat2", "params", "time"} <= set(meta["resolved"])
+
     def test_figure_json_format(self, tmp_path):
         out = tmp_path / "fig5.json"
         assert main(["figure", "5", "--out", str(out), "--format", "json"]) == 0
@@ -143,6 +167,25 @@ class TestScanCommand:
             "out": str(tmp_path / "scan.csv"),
         })
         assert main(["scan", "--config", cfg]) == 2
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("command, extra, message", [
+        ("scan", {"observable": "Q", "scan": {"parameter": "t", "values": [0.1, -0.2]}},
+         "scan value -0.2 for t: must be"),
+        ("scan", {"observable": "kc_compound", "k": -1,
+                  "scan": {"parameter": "t", "values": [0.1]}}, "k: must be"),
+        ("pnd", {"n_max": -1}, "n_max: must be"),
+        ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": 1}},
+         "grid: nx must be"),
+        ("squeeze", {"time": math.nan}, "time: must be"),
+    ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan"])
+    def test_exit_2_names_the_field(self, tmp_path, capsys, command, extra, message):
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, dict(extra, out=str(out)))
+        assert main([command, "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOtherCommands:

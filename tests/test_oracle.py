@@ -30,6 +30,16 @@ class TestBuildInitial:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("params", [
+        ca.AmplifierParams(g=1.0, pump_phase=0.7),
+        ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5, nbar1=0.3, nbar2=0.2),
+    ], ids=["lossless", "damped"])
+    def test_trace_is_kept_not_forced_to_one(self, params):
+        # evolution is linear: half the operator evolves to half the state
+        state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 14, 14)
+        half = oracle.FockState(14, 14, 0.5 * state.rho)
+        expect = 0.5 * oracle.evolve(state, params, 0.3).rho
+        assert np.allclose(oracle.evolve(half, params, 0.3).rho, expect, rtol=0, atol=1e-15)
     def test_vacuum_two_mode_squeezing(self):
         params = ca.AmplifierParams(g=1.0, pump_phase=0.4)
         state = oracle.build_initial(ca.CatSpec.even(0.0), ca.CatSpec.even(0.0), 18, 18)

@@ -39,6 +39,14 @@ class TestNormalization:
         with pytest.raises(ValueError):
             ca.CatSpec(-0.1)
 
+    def test_non_finite_cat_rejected(self):
+        with pytest.raises(ValueError, match="amp_phase must be finite"):
+            ca.CatSpec(1.0, amp_phase=math.nan)
+
+    def test_non_finite_amplifier_rejected(self):
+        with pytest.raises(ValueError, match="g must be finite"):
+            ca.AmplifierParams(g=math.inf)
+
 
 class TestFockNorm:
     def test_unit_norm_in_fock_space(self, rng):

@@ -115,6 +115,13 @@ class TestCutAndPeaks:
         xs, cut = ca.wigner_cut(system, 0.3, y=-0.25, x=grid.x)
         assert np.allclose(cut, grid.values[0], atol=1e-15)
 
+    def test_single_point_axis_needs_zero_width(self):
+        with pytest.raises(ValueError, match="nx must be >= 2"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, nx=1)
+        line = ca.PhaseGrid(GridSpec(-6, 6, -0.25, -0.25, 11, 1), np.zeros((1, 11)))
+        with pytest.raises(ValueError, match="line grid has no area"):
+            line.integral()
+
     def test_fig1_negativity_switch(self):
         # negativity on the reference cut appears only for a larger signal cat
         vals = {}
