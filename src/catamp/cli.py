@@ -46,21 +46,28 @@ _ESCALATED = (TruncationWarning, SupportWarning, NearSingularDenominator)
 _CAT_KINDS = {"even": 0.0, "odd": math.pi, "yurke_stoler": math.pi / 2}
 
 
+def _number(value, where: str, kind=float):
+    """value converted by kind (float or int); ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
 def _cat_from_dict(d: dict, where: str) -> CatSpec:
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object")
-    try:
-        amp_mag = float(d["amp_mag"])
-    except KeyError:
-        raise ConfigError(f"{where}.amp_mag: required") from None
-    amp_phase = float(d.get("amp_phase", 0.0))
+    if "amp_mag" not in d:
+        raise ConfigError(f"{where}.amp_mag: required")
+    amp_mag = _number(d["amp_mag"], f"{where}.amp_mag")
+    amp_phase = _number(d.get("amp_phase", 0.0), f"{where}.amp_phase")
     if "kind" in d:
         kind = d["kind"]
         if kind not in _CAT_KINDS:
             raise ConfigError(f"{where}.kind: must be one of {sorted(_CAT_KINDS)}")
         rel = _CAT_KINDS[kind]
     else:
-        rel = float(d.get("rel_phase", 0.0))
+        rel = _number(d.get("rel_phase", 0.0), f"{where}.rel_phase")
     try:
         return CatSpec(amp_mag, amp_phase, rel)
     except ValueError as exc:
@@ -76,7 +83,7 @@ def _params_from_dict(d: dict) -> AmplifierParams:
     if "g" not in d:
         raise ConfigError("params.g: required")
     try:
-        return AmplifierParams(**{k: float(v) for k, v in d.items()})
+        return AmplifierParams(**{k: _number(v, f"params.{k}") for k, v in d.items()})
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
@@ -126,19 +133,19 @@ class RunConfig:
             cat1=_cat_from_dict(rest.pop("cat1"), "cat1"),
             cat2=_cat_from_dict(rest.pop("cat2"), "cat2"),
             params=_params_from_dict(rest.pop("params")),
-            time=float(rest.pop("time")),
+            time=_number(rest.pop("time"), "time"),
         )
         for key in ("observable", "format", "out"):
             if key in rest:
                 setattr(cfg, key, str(rest.pop(key)))
         for key in ("mode", "k"):
             if key in rest:
-                setattr(cfg, key, int(rest.pop(key)))
+                setattr(cfg, key, _number(rest.pop(key), key, int))
         if "n_max" in rest:
             raw = rest.pop("n_max")
-            cfg.n_max = None if raw is None else int(raw)
+            cfg.n_max = None if raw is None else _number(raw, "n_max", int)
         if "cut_y" in rest:
-            cfg.cut_y = float(rest.pop("cut_y"))
+            cfg.cut_y = _number(rest.pop("cut_y"), "cut_y")
         for key in ("grid", "scan"):
             if key in rest:
                 raw = rest.pop(key)
@@ -148,6 +155,8 @@ class RunConfig:
         if rest:
             raise ConfigError(f"config: unknown fields {sorted(rest)}")
         _check_time(cfg.time, "time")
+        if not math.isfinite(cfg.cut_y):
+            raise ConfigError("cut_y: must be finite")
         if cfg.mode not in (1, 2):
             raise ConfigError("mode: must be 1 or 2")
         if not 0 <= cfg.k <= MAX_FACTORIAL_ORDER:
@@ -454,7 +463,7 @@ def _scan_axis(scan: dict, key: str, vkey: str, known: set[str]) -> tuple[str, n
     vals = scan.get(vkey)
     if not isinstance(vals, list) or len(vals) == 0:
         raise ConfigError(f"scan.{vkey}: must be a non-empty list")
-    return fieldname, np.asarray([float(v) for v in vals])
+    return fieldname, np.asarray([_number(v, f"scan.{vkey}") for v in vals])
 
 
 def cmd_scan(cfg: RunConfig) -> list[str]:
@@ -484,10 +493,14 @@ def _grid_spec(grid: dict | None) -> GridSpec | None:
     if not grid:
         return None
     try:
-        spec = GridSpec(*(float(grid[k]) for k in ("x_min", "x_max", "y_min", "y_max")),
-                        nx=int(grid.get("nx", 201)), ny=int(grid.get("ny", 201)))
+        spec = GridSpec(*(_number(grid[k], f"grid.{k}")
+                          for k in ("x_min", "x_max", "y_min", "y_max")),
+                        nx=_number(grid.get("nx", 201), "grid.nx", int),
+                        ny=_number(grid.get("ny", 201), "grid.ny", int))
     except KeyError as exc:
         raise ConfigError(f"grid.{exc.args[0]}: required") from None
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
     if min(spec.nx, spec.ny) < 2:

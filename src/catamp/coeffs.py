@@ -188,7 +188,10 @@ def noise_coeffs(params: AmplifierParams, t: float) -> tuple[float, float, compl
 
 
 def coeffs_at(params: AmplifierParams, t: float) -> EvolvedCoeffs:
-    """Assemble the full coefficient record for one time."""
+    """Assemble the full coefficient record for one time; every observable
+    evaluates through here, so a non-finite t is refused for all of them."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     f1, f2, f3 = dyn_coeffs(params, t)
     b1, b2, d = noise_coeffs(params, t)
     eps = params.eps

@@ -9,6 +9,11 @@ prefactors so that distributions are normalized and match the Fock-space
 reference.  The ladder x^m * L_m(y) * e^c is evaluated by a renormalized
 recurrence in the variables (x, x*y, c), which is regular at the t = 0 point
 where the thermal weights vanish and safe against overflow at large gain.
+
+Term 15 - i is term i with every amplitude negated: same class, bit-identical
+quadratic quantities (lambda_+/-, A_+/-, single-mode c1).  So the ladders run
+once per parity pair, weighted by both prefactors, and the two channel ladders
+of the sum distribution are convolved by numpy.fft at a 5-smooth length.
 """
 
 from __future__ import annotations
@@ -113,6 +118,11 @@ def generating_quantities(term: DensityTerm, coeffs: EvolvedCoeffs) -> GenQuanti
     return GenQuantities(lam_p, lam_m, a_p, a_m)
 
 
+# renormalization band of the ladder's running pair, and the log of its step
+_SMALL, _BIG = 1e-100, 1e100
+_LN_1E200 = 200.0 * math.log(10.0)
+
+
 def _ladder(x: complex, xy: complex, c: complex, n: int) -> np.ndarray:
     """Values e^c * x^m * L_m(xy / x) for m = 0..n, by renormalized recurrence.
 
@@ -121,51 +131,50 @@ def _ladder(x: complex, xy: complex, c: complex, n: int) -> np.ndarray:
     shift is folded back per order, so genuinely tiny values underflow to 0
     and genuinely huge intermediate magnitudes survive.
     """
-    vals = np.empty(n + 1, dtype=complex)
-    shifts = np.empty(n + 1, dtype=float)
     shift = c.real
     prev = complex(math.cos(c.imag), math.sin(c.imag))  # e^{i Im c}
-    vals[0] = prev
-    shifts[0] = shift
-    if n == 0:
-        return vals * np.exp(shifts)
     cur = x * prev - xy * prev
-    vals[1] = cur
-    shifts[1] = shift
+    vals = np.empty(n + 1, dtype=complex)
+    vals[:2] = (prev, cur)[: n + 1]
+    marks = [(0, shift)]  # (first order, shift) at each renormalization
+    in_band = False  # |cur| is known to lie in [_SMALL, _BIG]
     for m in range(1, n):
         nxt = ((x * (2 * m + 1) - xy) * cur - m * x * x * prev) / (m + 1)
-        mag = max(abs(nxt), abs(cur))
-        if mag > 1e100:
-            nxt *= 1e-200
-            cur *= 1e-200
-            shift += 200.0 * math.log(10.0)
-        elif 0.0 < mag < 1e-100:
-            nxt *= 1e200
-            cur *= 1e200
-            shift -= 200.0 * math.log(10.0)
+        if not (in_band and _SMALL <= abs(nxt) <= _BIG):
+            mag = max(abs(nxt), abs(cur))
+            if mag > _BIG or 0.0 < mag < _SMALL:
+                scale, step = (1e-200, _LN_1E200) if mag > _BIG else (1e200, -_LN_1E200)
+                nxt, cur, shift = nxt * scale, cur * scale, shift + step
+                marks.append((m + 1, shift))
+            in_band = _SMALL <= abs(nxt) <= _BIG
         prev, cur = cur, nxt
         vals[m + 1] = cur
-        shifts[m + 1] = shift
+    starts, values = zip(*marks)
+    shifts = np.repeat(values, np.diff([*starts, n + 1]))
     with np.errstate(over="ignore", under="ignore"):
-        return vals * np.exp(shifts)
+        vals *= np.exp(shifts, out=shifts)
+    return vals
 
 
-def _term_sum_pnd(term: DensityTerm, coeffs: EvolvedCoeffs, n_max: int) -> np.ndarray:
-    gq = generating_quantities(term, coeffs)
-    lam_p, lam_m = gq.lambda_plus, gq.lambda_minus
-    den_p, den_m = 1.0 + lam_p, 1.0 + lam_m
-    u = _ladder(lam_p / den_p, gq.A_plus / den_p**2, gq.A_plus / den_p, n_max)
-    v = _ladder(lam_m / den_m, gq.A_minus / den_m**2, gq.A_minus / den_m, n_max)
-    conv = np.convolve(u, v)[: n_max + 1]
-    return (term.prefactor() / (den_p * den_m)) * conv
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast numpy.fft length."""
+    best, p5 = 2 * n, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 * 2^a for the least a reaching n
+            best, p35 = min(best, p35 << ((n - 1) // p35).bit_length()), p35 * 3
+        p5 *= 5
+    return best
+
+
+def _parity_pairs(terms: list[DensityTerm]) -> list[tuple[DensityTerm, complex]]:
+    """Term i of each parity pair (i, 15 - i) with the pair's summed prefactor."""
+    return [(terms[i], terms[i].prefactor() + terms[15 - i].prefactor()) for i in range(8)]
 
 
 def _auto_n_max(system: System, t: float, single_mode: int | None) -> int:
     """Truncation from the mean and variance of the photon-number observable."""
-    if single_mode is None:
-        scope, mode = "compound", 1
-    else:
-        scope, mode = "single", single_mode
+    scope, mode = ("compound", 1) if single_mode is None else ("single", single_mode)
     w1, _ = factorial_moments(system, t, 1, scope=scope, mode=mode)
     w2, _ = factorial_moments(system, t, 2, scope=scope, mode=mode)
     mean = max(w1, 0.0)
@@ -203,13 +212,24 @@ def sum_pnd(system: System, t: float, n_max: int | None = None) -> Distribution:
     total is a probability distribution.
     """
     terms, norm = enumerate_terms(system.cat1, system.cat2)
+    pairs = _parity_pairs(terms)
     coeffs = coeffs_at(system.params, t)
 
     def compute(nm):
-        parts = {kind: np.zeros(nm + 1, dtype=complex) for kind in TermClass}
-        for term in terms:
-            parts[term.kind] += _term_sum_pnd(term, coeffs, nm)
-        real_parts = {kind: norm * arr.real for kind, arr in parts.items()}
+        size = _fft_size(2 * nm + 1)
+        spec_u, spec_v = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        parts = {kind: np.zeros(nm + 1) for kind in TermClass}
+        for term, pref in pairs:
+            gq = generating_quantities(term, coeffs)
+            den_p, den_m = 1.0 + gq.lambda_plus, 1.0 + gq.lambda_minus
+            np.fft.fft(_ladder(gq.lambda_plus / den_p, gq.A_plus / den_p**2,
+                               gq.A_plus / den_p, nm), size, out=spec_u)
+            np.fft.fft(_ladder(gq.lambda_minus / den_m, gq.A_minus / den_m**2,
+                               gq.A_minus / den_m, nm), size, out=spec_v)
+            spec_u *= spec_v
+            spec_u *= pref / (den_p * den_m)
+            parts[term.kind] += np.fft.ifft(spec_u, out=spec_u)[: nm + 1].real
+        real_parts = {kind: norm * arr for kind, arr in parts.items()}
         return sum(real_parts.values()), real_parts
 
     probs, real_parts, n_max = _with_auto_tail(
@@ -228,11 +248,10 @@ def single_pnd(mode: int, system: System, t: float, n_max: int | None = None) ->
 
     def compute(nm):
         acc = np.zeros(nm + 1, dtype=complex)
-        for term in terms:
+        for term, pref in _parity_pairs(terms):
             ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
             c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
-            ladder = _ladder(b / den, -c1 / den**2, -c1 / den, nm)
-            acc += (term.prefactor() / den) * ladder
+            acc += (pref / den) * _ladder(b / den, -c1 / den**2, -c1 / den, nm)
         return norm * acc.real, None
 
     probs, _, n_max = _with_auto_tail(
@@ -243,12 +262,8 @@ def single_pnd(mode: int, system: System, t: float, n_max: int | None = None) ->
 def _check_tail(probs: np.ndarray) -> None:
     tail = 1.0 - float(np.sum(probs))
     if tail > TAIL_TOL:
-        warnings.warn(
-            f"photon-number tail mass {tail:.3e} exceeds {TAIL_TOL:.0e}; "
-            "increase n_max",
-            TruncationWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"photon-number tail mass {tail:.3e} exceeds {TAIL_TOL:.0e}; "
+                      "increase n_max", TruncationWarning, stacklevel=3)
 
 
 def factorial_moments(
@@ -272,7 +287,7 @@ def factorial_moments(
     coeffs = coeffs_at(system.params, t)
     kfac = math.factorial(k)
     total = 0j
-    for term in terms:
+    for term, pref in _parity_pairs(terms):
         if scope == "compound":
             gq = generating_quantities(term, coeffs)
             lp = _ladder(complex(gq.lambda_plus), gq.A_plus, 0j, k)
@@ -283,7 +298,7 @@ def factorial_moments(
             b = coeffs.B1N if mode == 1 else coeffs.B2N
             c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
             val = kfac * _ladder(complex(b), -c1, 0j, k)[k]
-        total += term.prefactor() * val
+        total += pref * val
     wk = float((norm * total).real)
     if k == 1:
         return wk, 0.0

@@ -38,6 +38,9 @@ class GridSpec:
     ny: int = 201
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # one point is a line, allowed only where the axis has zero width
         for n, lo, hi in (("nx", self.x_min, self.x_max), ("ny", self.y_min, self.y_max)):
             size = getattr(self, n)

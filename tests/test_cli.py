@@ -179,7 +179,27 @@ class TestBadValues:
         ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": 1}},
          "grid: nx must be"),
         ("squeeze", {"time": math.nan}, "time: must be"),
-    ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan"])
+        ("squeeze", {"time": "abc"}, "time: expected a number"),
+        ("wigner", {"cut_y": "abc"}, "cut_y: expected a number"),
+        ("wigner", {"cut_y": math.inf}, "cut_y: must be finite"),
+        ("squeeze", {"mode": "two"}, "mode: expected a number"),
+        ("squeeze", {"k": "x"}, "k: expected a number"),
+        ("pnd", {"n_max": "many"}, "n_max: expected a number"),
+        ("pnd", {"n_max": math.inf}, "n_max: expected a number"),
+        ("squeeze", {"cat1": {"kind": "even", "amp_mag": "big"}}, "cat1.amp_mag: expected"),
+        ("squeeze", {"cat2": {"amp_mag": 0.5, "amp_phase": []}}, "cat2.amp_phase: expected"),
+        ("squeeze", {"cat1": {"amp_mag": 1.0, "rel_phase": "pi"}}, "cat1.rel_phase: expected"),
+        ("squeeze", {"params": {"g": "one"}}, "params.g: expected a number"),
+        ("wigner", {"grid": {"x_min": math.nan, "x_max": 4, "y_min": -4, "y_max": 4}},
+         "grid: x_min must be finite"),
+        ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": -math.inf}},
+         "grid: y_max must be finite"),
+        ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": "x"}},
+         "grid.nx: expected a number"),
+    ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan",
+            "time_text", "cut_y_text", "cut_y_inf", "mode_text", "k_text", "n_max_text",
+            "n_max_inf", "amp_mag_text", "amp_phase_list", "rel_phase_text", "params_g_text",
+            "grid_x_min_nan", "grid_y_max_inf", "grid_nx_text"])
     def test_exit_2_names_the_field(self, tmp_path, capsys, command, extra, message):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, dict(extra, out=str(out)))

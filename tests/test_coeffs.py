@@ -207,3 +207,18 @@ class TestCoeffsRecord:
         assert c.eps == pytest.approx(16.0)
         c2 = ca.coeffs_at(p, 0.5)
         assert c2.B1N > 0.0 and c2.B2N > 0.0
+
+
+class TestNonFiniteTime:
+    # coeffs_at refuses the time, so every observable does
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("observable", [
+        lambda s, t: ca.moment(1, 1, 0, 0, s, t),
+        lambda s, t: ca.two_mode_squeezing(s, t),
+        lambda s, t: ca.sum_pnd(s, t),
+        lambda s, t: ca.wigner_grid(s, t),
+    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid"])
+    def test_observables_name_t(self, observable, t):
+        system = make_system("even", 1.0, "odd", 0.5)
+        with pytest.raises(ValueError, match="t must be finite"):
+            observable(system, t)

@@ -1,8 +1,12 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
 import catamp as ca
@@ -355,3 +359,168 @@ class TestFactorialMoments:
         system = make_system("even", 1.0, "even", 1.0)
         with pytest.raises(ValueError):
             ca.factorial_moments(system, 0.1, 65)
+
+
+# --- the parity-paired FFT kernel against the direct 16-term formula -----------------
+
+
+def direct_sum_parts(system, t, n_max):
+    """Class parts of P(n1 + n2): per-term ladders and np.convolve over all 16 terms."""
+    terms, norm = ca.enumerate_terms(system.cat1, system.cat2)
+    coeffs = coeffs_at(system.params, t)
+    parts = {kind: np.zeros(n_max + 1, dtype=complex) for kind in ca.TermClass}
+    for term in terms:
+        gq = ca.generating_quantities(term, coeffs)
+        dp, dm = 1.0 + gq.lambda_plus, 1.0 + gq.lambda_minus
+        u = _ladder(gq.lambda_plus / dp, gq.A_plus / dp**2, gq.A_plus / dp, n_max)
+        v = _ladder(gq.lambda_minus / dm, gq.A_minus / dm**2, gq.A_minus / dm, n_max)
+        parts[term.kind] += term.prefactor() / (dp * dm) * np.convolve(u, v)[: n_max + 1]
+    return {kind: norm * arr.real for kind, arr in parts.items()}
+
+
+def direct_single(mode, system, t, n_max):
+    terms, norm = ca.enumerate_terms(system.cat1, system.cat2)
+    coeffs = coeffs_at(system.params, t)
+    b = coeffs.B1N if mode == 1 else coeffs.B2N
+    acc = np.zeros(n_max + 1, dtype=complex)
+    for term in terms:
+        ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
+        c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
+        acc += term.prefactor() / (1 + b) * _ladder(b / (1 + b), -c1 / (1 + b) ** 2,
+                                                    -c1 / (1 + b), n_max)
+    return norm * acc.real
+
+
+def direct_factorial(system, t, k, scope, mode=1):
+    terms, norm = ca.enumerate_terms(system.cat1, system.cat2)
+    coeffs = coeffs_at(system.params, t)
+    total = 0j
+    for term in terms:
+        if scope == "compound":
+            gq = ca.generating_quantities(term, coeffs)
+            lp = _ladder(complex(gq.lambda_plus), gq.A_plus, 0j, k)
+            lm = _ladder(complex(gq.lambda_minus), gq.A_minus, 0j, k)
+            val = np.dot(lm[::-1], lp)
+        else:
+            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
+            b = coeffs.B1N if mode == 1 else coeffs.B2N
+            c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
+            val = _ladder(complex(b), -c1, 0j, k)[k]
+        total += term.prefactor() * val
+    return float((norm * math.factorial(k) * total).real)
+
+
+_KINDS = {"even": ca.CatSpec.even, "odd": ca.CatSpec.odd, "yss": ca.CatSpec.yurke_stoler}
+_LOSSES = {"lossless": (0.0, 0.0), "damped": (0.6, 0.6), "asymmetric": (0.2, 1.1)}
+
+
+def sweep_systems():
+    """Every cat-kind pair under each loss setting, fixed-seed amplitudes and times."""
+    rng = np.random.default_rng(4)
+    for (k1, k2), (loss, (g1, g2)) in itertools.product(
+            itertools.product(_KINDS, repeat=2), _LOSSES.items()):
+        params = ca.AmplifierParams(g=1.0, pump_phase=float(rng.uniform(0, 6.3)),
+                                    gamma1=g1, gamma2=g2, nbar1=0.3 * (g1 > 0), nbar2=0.2)
+        system = ca.System(_KINDS[k1](float(rng.uniform(0.3, 3.0)), float(rng.uniform(0, 6.3))),
+                           _KINDS[k2](float(rng.uniform(0.3, 3.0)), float(rng.uniform(0, 6.3))),
+                           params)
+        yield f"{k1}-{k2}-{loss}", system, float(rng.uniform(0.05, 2.2))
+
+
+SWEEP = list(sweep_systems())
+
+
+class TestPairedKernel:
+    @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
+    def test_sum_pnd_matches_direct_formula(self, label, system, t):
+        dist = ca.sum_pnd(system, t)
+        ref = direct_sum_parts(system, t, dist.n_max)
+        scale = max(np.max(np.abs(p)) for p in ref.values())
+        for kind, part in ref.items():
+            assert np.max(np.abs(dist.class_parts[kind] - part)) <= 1e-12 * scale
+        assert np.max(np.abs(dist.probs - sum(ref.values()))) <= 1e-12 * scale
+        for mode in (1, 2):
+            single = ca.single_pnd(mode, system, t)
+            ref1 = direct_single(mode, system, t, single.n_max)
+            assert np.max(np.abs(single.probs - ref1)) <= 1e-12 * np.max(np.abs(ref1))
+
+    @pytest.mark.parametrize("label, system, t", SWEEP[::3], ids=[c[0] for c in SWEEP[::3]])
+    def test_factorial_moments_match_direct_formula(self, label, system, t):
+        for k in (1, 2, 5):
+            for scope, mode in (("compound", 1), ("single", 1), ("single", 2)):
+                wk, _ = ca.factorial_moments(system, t, k, scope=scope, mode=mode)
+                assert wk == pytest.approx(direct_factorial(system, t, k, scope, mode),
+                                           rel=1e-12)
+
+    @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
+    def test_parity_partners_share_quadratic_quantities(self, label, system, t):
+        terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
+        coeffs = coeffs_at(system.params, t)
+
+        def bits(term):
+            gq = ca.generating_quantities(term, coeffs)
+            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
+            values = [*dataclasses.astuple(gq), ab1 * abp1, ab2 * abp2]
+            return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+        for i in range(16):
+            assert terms[15 - i].kind == terms[i].kind
+            assert bits(terms[15 - i]) == bits(terms[i])
+
+
+def test_ladder_matches_mpmath_through_renormalizations():
+    # x -> 0 with xy = c makes e^c * (-xy)^m / m!, close to a Poisson ladder of
+    # mean 1000: the unscaled recurrence climbs past 1e400 and then falls below
+    # 1e-400, so the running pair is renormalized down and then up
+    x, xy, c, n = 1e-5 + 2e-6j, -1000.0 + 30.0j, -1000.0 + 0.4j, 4000
+    got = _ladder(x, xy, c, n)
+    with mpmath.workdps(40):
+        mx, mxy = mpmath.mpc(x), mpmath.mpc(xy)
+        prev, cur = mpmath.mpc(1), mx - mxy
+        unscaled = [prev, cur]
+        for m in range(1, n):
+            prev, cur = cur, ((mx * (2 * m + 1) - mxy) * cur - m * mx * mx * prev) / (m + 1)
+            unscaled.append(cur)
+        mags = [abs(v) for v in unscaled]
+        assert max(mags) > mpmath.mpf("1e400") > mpmath.mpf("1e-400") > min(mags[1000:])
+        ref = [complex(mpmath.exp(mpmath.mpc(c)) * v) for v in unscaled]
+    ref = np.array(ref)
+    shown = np.abs(ref) > 1e-290
+    assert shown.sum() > 1500
+    assert np.all(np.abs(got[shown] - ref[shown]) <= 1e-10 * np.abs(ref[shown]))
+    assert np.all(np.abs(got[~shown]) < 1e-280)
+
+
+# --- property-based invariants of the auto-truncated sum distribution -------------------
+
+
+_cats = st.builds(lambda kind, mag, phase: _KINDS[kind](mag, phase),
+                  st.sampled_from(sorted(_KINDS)), st.floats(0.3, 2.0), st.floats(0.0, 6.28))
+_params = st.builds(ca.AmplifierParams, g=st.floats(0.1, 1.5), pump_phase=st.floats(0.0, 6.28),
+                    gamma1=st.floats(0.0, 2.0), gamma2=st.floats(0.0, 2.0),
+                    nbar1=st.floats(0.0, 1.0), nbar2=st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(cat1=_cats, cat2=_cats, params=_params, t=st.floats(0.0, 1.0))
+def test_sum_pnd_invariants(cat1, cat2, params, t):
+    system = ca.System(cat1, cat2, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ca.NearSingularDenominator)
+        dist = ca.sum_pnd(system, t)
+        expect = (ca.moment(1, 1, 0, 0, system, t) + ca.moment(0, 0, 1, 1, system, t)).real
+        swapped = ca.System(cat2, cat1, dataclasses.replace(
+            params, gamma1=params.gamma2, gamma2=params.gamma1,
+            nbar1=params.nbar2, nbar2=params.nbar1))
+        marginals = [ca.single_pnd(mode, system, t) for mode in (1, 2)]
+        swapped_marginals = [ca.single_pnd(mode, swapped, t, n_max=m.n_max)
+                             for mode, m in zip((2, 1), marginals)]
+    assert abs(dist.total - 1.0) <= 1e-8
+    assert dist.probs.min() >= -1e-12 * dist.probs.max()
+    # the truncated support misses the tail's first moment, at most about
+    # twice (n_max + 1) times the tail mass for these geometric tails
+    deficit = expect - dist.mean()
+    tail_moment = 2.0 * (dist.n_max + 1) * max(0.0, 1.0 - dist.total)
+    assert -1e-8 * max(1.0, expect) <= deficit <= 1e-8 * max(1.0, expect) + tail_moment
+    for mine, theirs in zip(marginals, swapped_marginals):
+        assert np.max(np.abs(mine.probs - theirs.probs)) <= 1e-12

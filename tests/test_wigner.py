@@ -115,6 +115,13 @@ class TestCutAndPeaks:
         xs, cut = ca.wigner_cut(system, 0.3, y=-0.25, x=grid.x)
         assert np.allclose(cut, grid.values[0], atol=1e-15)
 
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max"])
+    def test_non_finite_bounds_rejected(self, field):
+        bounds = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                GridSpec(**dict(bounds, **{field: bad}))
+
     def test_single_point_axis_needs_zero_width(self):
         with pytest.raises(ValueError, match="nx must be >= 2"):
             GridSpec(-1.0, 1.0, -1.0, 1.0, nx=1)
