@@ -10,10 +10,8 @@ from .params import (
     AmplifierParams,
     CatSpec,
     DegenerateCat,
-    MismatchPhase,
     Regime,
     System,
-    mismatch_phase,
     normalization,
 )
 from .coeffs import (
@@ -21,17 +19,15 @@ from .coeffs import (
     NearSingularDenominator,
     coeffs_at,
     dyn_coeffs,
-    evolved_amplitudes,
+    evolve_terms,
     noise_coeffs,
 )
-from .rho_terms import DensityTerm, TermClass, coherent_overlap, enumerate_terms
+from .rho_terms import TermClass, coherent_overlap, enumerate_terms
 from .charfn import (
     MAX_MOMENT_ORDER,
     OrderTooHigh,
     char_full,
-    char_term,
     moment,
-    single_mode_char,
 )
 from .squeezing import (
     DomainError,
@@ -46,7 +42,6 @@ from .squeezing import (
 )
 from .photon_stats import (
     Distribution,
-    GenQuantities,
     TruncationWarning,
     factorial_moments,
     generating_quantities,
@@ -62,8 +57,6 @@ from .wigner import (
     default_grid,
     wigner_cut,
     wigner_grid,
-    wigner_point,
-    wigner_term,
 )
 from . import oracle
 
@@ -73,14 +66,11 @@ __all__ = [
     "AmplifierParams",
     "CatSpec",
     "DegenerateCat",
-    "DensityTerm",
     "Distribution",
     "DomainError",
     "EvolvedCoeffs",
-    "GenQuantities",
     "GridSpec",
     "MAX_MOMENT_ORDER",
-    "MismatchPhase",
     "NearSingularDenominator",
     "OrderTooHigh",
     "PhaseGrid",
@@ -91,18 +81,16 @@ __all__ = [
     "TermClass",
     "TruncationWarning",
     "char_full",
-    "char_term",
     "coeffs_at",
     "coherent_overlap",
     "count_peaks",
     "default_grid",
     "dyn_coeffs",
     "enumerate_terms",
-    "evolved_amplitudes",
+    "evolve_terms",
     "factorial_moments",
     "generating_quantities",
     "laguerre",
-    "mismatch_phase",
     "moment",
     "noise_coeffs",
     "normalization",
@@ -110,7 +98,6 @@ __all__ = [
     "q_factor_even_even",
     "q_factor_even_yurke",
     "q_factor_odd_even",
-    "single_mode_char",
     "single_mode_squeezing",
     "single_pnd",
     "squeeze_survival_time",
@@ -119,6 +106,4 @@ __all__ = [
     "two_mode_squeezing",
     "wigner_cut",
     "wigner_grid",
-    "wigner_point",
-    "wigner_term",
 ]

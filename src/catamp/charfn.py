@@ -1,18 +1,18 @@
 """Normally ordered characteristic function and low-order moments.
 
 Each density-operator term contributes a Gaussian-times-linear exponential in
-(zeta1, zeta2); the full function is the weighted 16-term sum.  Moments are
+(zeta1, zeta2); the full function is the weighted 16-term sum, evaluated on
+all rows of the evolved term record (coeffs.evolve_terms) at once.  Moments are
 obtained by exact polynomial differentiation of the quadratic exponent, so no
 numerical differentiation enters the production path.
 """
 
 from __future__ import annotations
 
-import cmath
+import numpy as np
 
-from .coeffs import EvolvedCoeffs, coeffs_at, evolved_amplitudes
+from .coeffs import EvolvedTerms, evolve_terms
 from .params import System
-from .rho_terms import DensityTerm, enumerate_terms
 
 
 class OrderTooHigh(ValueError):
@@ -22,36 +22,28 @@ class OrderTooHigh(ValueError):
 MAX_MOMENT_ORDER = 4
 
 
-def char_term(
-    term: DensityTerm, coeffs: EvolvedCoeffs, zeta1: complex, zeta2: complex
-) -> complex:
-    """One term's contribution to the two-mode characteristic function."""
-    ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
+def _char_terms(ev: EvolvedTerms, zeta1: complex, zeta2: complex) -> np.ndarray:
+    """The 16 rows' contributions to the two-mode characteristic function."""
+    c = ev.coeffs
     z1c = complex(zeta1).conjugate()
     z2c = complex(zeta2).conjugate()
     expo = (
-        zeta1 * zeta2 * coeffs.D
-        + z1c * z2c * coeffs.D.conjugate()
-        - (zeta1 * z1c).real * coeffs.B1N
-        - (zeta2 * z2c).real * coeffs.B2N
-        + zeta1 * ab1
-        - z1c * abp1
-        + zeta2 * ab2
-        - z2c * abp2
+        zeta1 * zeta2 * c.D
+        + z1c * z2c * c.D.conjugate()
+        - (zeta1 * z1c).real * c.B1N
+        - (zeta2 * z2c).real * c.B2N
+        + zeta1 * ev.ab1
+        - z1c * ev.abp1
+        + zeta2 * ev.ab2
+        - z2c * ev.abp2
     )
-    return term.prefactor() * cmath.exp(expo)
-
-
-def single_mode_char(term: DensityTerm, coeffs: EvolvedCoeffs, zeta1: complex) -> complex:
-    """Signal-mode characteristic function: the zeta2 = 0 slice."""
-    return char_term(term, coeffs, zeta1, 0j)
+    return ev.prefactor * np.exp(expo)
 
 
 def char_full(system: System, t: float, zeta1: complex, zeta2: complex) -> complex:
     """Characteristic function of the full state (16-term weighted sum)."""
-    terms, norm = enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
-    return norm * sum(char_term(term, coeffs, zeta1, zeta2) for term in terms)
+    ev = evolve_terms(system, t)
+    return ev.norm * sum(_char_terms(ev, zeta1, zeta2).tolist())
 
 
 # --- moment extraction ------------------------------------------------------
@@ -70,11 +62,10 @@ _QUAD_PARTNERS = {
 
 
 def _derive(poly, var, lin, quad, sign):
-    out: dict[tuple, complex] = {}
+    out: dict[tuple, np.ndarray] = {}
 
     def add(mono, coef):
-        if coef != 0:
-            out[mono] = out.get(mono, 0j) + coef
+        out[mono] = out[mono] + coef if mono in out else coef
 
     for mono, coef in poly.items():
         c = sign * coef
@@ -82,32 +73,25 @@ def _derive(poly, var, lin, quad, sign):
             lower = list(mono)
             lower[var] -= 1
             add(tuple(lower), c * mono[var])
-        if lin[var] != 0:
-            add(mono, c * lin[var])
+        add(mono, c * lin[var])
         for partner, key in _QUAD_PARTNERS[var]:
-            q = quad[key]
-            if q != 0:
-                raised = list(mono)
-                raised[partner] += 1
-                add(tuple(raised), c * q)
+            raised = list(mono)
+            raised[partner] += 1
+            add(tuple(raised), c * quad[key])
     return out
 
 
-def _moment_term(orders, term: DensityTerm, coeffs: EvolvedCoeffs) -> complex:
+def _moment_terms(orders, ev: EvolvedTerms) -> np.ndarray:
+    """The 16 rows' contributions to one normally ordered moment."""
     m1, n1, m2, n2 = orders
-    ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-    lin = (ab1, -abp1, ab2, -abp2)
-    quad = {
-        "mB1": -coeffs.B1N,
-        "mB2": -coeffs.B2N,
-        "D": coeffs.D,
-        "Dc": coeffs.D.conjugate(),
-    }
-    poly = {(0, 0, 0, 0): 1 + 0j}
+    c = ev.coeffs
+    lin = (ev.ab1, -ev.abp1, ev.ab2, -ev.abp2)
+    quad = {"mB1": -c.B1N, "mB2": -c.B2N, "D": c.D, "Dc": c.D.conjugate()}
+    poly = {(0, 0, 0, 0): np.ones(16, dtype=complex)}
     for var, count, sign in ((0, m1, 1), (1, n1, -1), (2, m2, 1), (3, n2, -1)):
         for _ in range(count):
             poly = _derive(poly, var, lin, quad, sign)
-    return poly.get((0, 0, 0, 0), 0j) * term.prefactor()
+    return poly[(0, 0, 0, 0)] * ev.prefactor
 
 
 def moment(m1: int, n1: int, m2: int, n2: int, system: System, t: float) -> complex:
@@ -124,6 +108,6 @@ def moment(m1: int, n1: int, m2: int, n2: int, system: System, t: float) -> comp
         raise OrderTooHigh(
             f"total order {sum(orders)} exceeds the closed-form bound {MAX_MOMENT_ORDER}"
         )
-    terms, norm = enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
-    return norm * sum(_moment_term(orders, term, coeffs) for term in terms)
+    ev = evolve_terms(system, t)
+    # a Python sum adds the rows in canonical order; np.sum would regroup them
+    return ev.norm * sum(_moment_terms(orders, ev).tolist())

@@ -47,11 +47,20 @@ _CAT_KINDS = {"even": 0.0, "odd": math.pi, "yurke_stoler": math.pi / 2}
 
 
 def _number(value, where: str, kind=float):
-    """value converted by kind (float or int); ConfigError naming the field."""
+    """value as a float, or as an int when kind is int; ConfigError naming the
+    field.  Booleans are refused, and an int field refuses a non-integral
+    value instead of truncating it (40.0 is 40, 40.5 is an error)."""
+    not_a_number = ConfigError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, bool):
+        raise not_a_number
     try:
-        return kind(value)
+        number = float(value)
+        whole = int(number) if kind is int else number
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        raise not_a_number from None
+    if kind is int and whole != number:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return whole
 
 
 def _cat_from_dict(d: dict, where: str) -> CatSpec:

@@ -6,6 +6,8 @@ two variances B1N, B2N and one anomalous cross-correlation D.  Everything is
 evaluated in the factored form decay-envelope times cosh/sinh, which stays
 stable at large gamma*t, and removable singularities (g=0 with symmetric
 losses, and the gamma1*gamma2 = 4 g^2 surface) are handled explicitly.
+evolve_terms combines the coefficients with the term table of rho_terms into
+the record the observables read, once per (system, t).
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .params import AmplifierParams
-from .rho_terms import DensityTerm
+import numpy as np
+
+from .params import AmplifierParams, System
+from .rho_terms import TermClass, enumerate_terms
 
 
 class NearSingularDenominator(UserWarning):
@@ -200,19 +204,46 @@ def coeffs_at(params: AmplifierParams, t: float) -> EvolvedCoeffs:
                          E=E, E1=E1, F=F, G=G, eps=eps)
 
 
-def evolved_amplitudes(
-    term: DensityTerm, coeffs: EvolvedCoeffs
-) -> tuple[complex, complex, complex, complex]:
-    """Drift amplitudes (abar1, abar2, abar1', abar2') of one density term.
+@dataclass(frozen=True)
+class EvolvedTerms:
+    """The term table of one system carried to one instant.
 
-    The unprimed pair multiplies zeta_j in the characteristic-function
-    exponent and descends from the bra amplitudes; the primed pair multiplies
-    -zeta_j* and descends from the ket amplitudes.
+    The observables read this record: the coefficients, the global factor
+    N1^2*N2^2, the row prefactors and classes, and the drift amplitudes of
+    the 16 rows ((16,) arrays).  The unprimed pair ab1, ab2 multiplies zeta_j
+    in the characteristic-function exponent and descends from the bra
+    amplitudes; the primed pair abp1, abp2 multiplies -zeta_j* and descends
+    from the ket amplitudes.
     """
-    f1, f2, f3 = coeffs.f1, coeffs.f2, coeffs.f3
-    f2c = f2.conjugate()
-    ab1 = term.a1_bra.conjugate() * f1 + term.a2_ket * f2c
-    ab2 = term.a1_ket * f2c + term.a2_bra.conjugate() * f3
-    abp1 = term.a1_ket * f1 + term.a2_bra.conjugate() * f2
-    abp2 = term.a1_bra.conjugate() * f2 + term.a2_ket * f3
-    return ab1, ab2, abp1, abp2
+
+    coeffs: EvolvedCoeffs
+    norm: float
+    prefactor: np.ndarray
+    kind: tuple[TermClass, ...]
+    ab1: np.ndarray
+    ab2: np.ndarray
+    abp1: np.ndarray
+    abp2: np.ndarray
+
+    def mode(self, mode: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """Noise variance B_jN and drift amplitudes (abar_j, abar_j') of mode j."""
+        if mode == 1:
+            return self.coeffs.B1N, self.ab1, self.abp1
+        if mode == 2:
+            return self.coeffs.B2N, self.ab2, self.abp2
+        raise ValueError("mode must be 1 or 2")
+
+
+def evolve_terms(system: System, t: float) -> EvolvedTerms:
+    """The system's term table and the coefficients at t, combined once."""
+    table, norm = enumerate_terms(system.cat1, system.cat2)
+    c = coeffs_at(system.params, t)
+    f2c = c.f2.conjugate()
+    a1_bra_c, a2_bra_c = table.a1_bra.conj(), table.a2_bra.conj()
+    return EvolvedTerms(
+        coeffs=c, norm=norm, prefactor=table.prefactor, kind=table.kind,
+        ab1=a1_bra_c * c.f1 + table.a2_ket * f2c,
+        ab2=table.a1_ket * f2c + a2_bra_c * c.f3,
+        abp1=table.a1_ket * c.f1 + a2_bra_c * c.f2,
+        abp2=a1_bra_c * c.f2 + table.a2_ket * c.f3,
+    )

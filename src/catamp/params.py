@@ -145,20 +145,6 @@ class AmplifierParams:
 
 
 @dataclass(frozen=True)
-class MismatchPhase:
-    """Phase mismatch psi = pump_phase - amp_phase1 - amp_phase2 (radians)."""
-
-    psi: float
-
-
-def mismatch_phase(params: AmplifierParams, cat1: CatSpec, cat2: CatSpec) -> MismatchPhase:
-    """Derive the phase mismatch from pump and input amplitude phases."""
-    return MismatchPhase(
-        _canonical_phase(params.pump_phase - cat1.amp_phase - cat2.amp_phase)
-    )
-
-
-@dataclass(frozen=True)
 class System:
     """A full input configuration: the two cats and the amplifier parameters."""
 

@@ -10,10 +10,12 @@ reference.  The ladder x^m * L_m(y) * e^c is evaluated by a renormalized
 recurrence in the variables (x, x*y, c), which is regular at the t = 0 point
 where the thermal weights vanish and safe against overflow at large gain.
 
-Term 15 - i is term i with every amplitude negated: same class, bit-identical
-quadratic quantities (lambda_+/-, A_+/-, single-mode c1).  So the ladders run
-once per parity pair, weighted by both prefactors, and the two channel ladders
-of the sum distribution are convolved by numpy.fft at a 5-smooth length.
+Each distribution and factorial moment evolves the term table once
+(coeffs.evolve_terms) and reads that record.  Row 15 - i is row i with every amplitude negated: same
+class, bit-identical quadratic quantities (A_+/-, single-mode c1).  So the
+ladders run over rows 0..7 only, each weighted by the paired prefactor of rows
+i and 15 - i, and the two channel ladders of the sum distribution are
+convolved by numpy.fft at a 5-smooth length.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import EvolvedCoeffs, coeffs_at, evolved_amplitudes
+from .coeffs import EvolvedTerms, evolve_terms
 from .params import System
-from .rho_terms import DensityTerm, TermClass, enumerate_terms
+from .rho_terms import TermClass
 
 
 class TruncationWarning(UserWarning):
@@ -39,16 +41,6 @@ MAX_FACTORIAL_ORDER = 64
 # below this (relative) separation, the two thermal channels are treated as
 # the decoupled per-mode channels; exact when the cross-correlation vanishes
 _DEGENERATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GenQuantities:
-    """Thermal weights lambda_+/- and coherent weights A_+/- of one term."""
-
-    lambda_plus: float
-    lambda_minus: float
-    A_plus: complex
-    A_minus: complex
 
 
 @dataclass(frozen=True)
@@ -84,38 +76,30 @@ def laguerre(n: int, x):
     return cur if cur.ndim else cur[()]
 
 
-def generating_quantities(term: DensityTerm, coeffs: EvolvedCoeffs) -> GenQuantities:
-    """Thermal and coherent channel weights for one term.
+def generating_quantities(ev: EvolvedTerms) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Thermal weights lambda_+/- and the rows' coherent weights A_+/-.
 
-    When the two channel weights degenerate (which requires the anomalous
-    correlation to vanish), the partial-fraction split is replaced by the
-    per-mode decoupled assignment, which is exact there.
+    The thermal weights depend on the noise coefficients only; A_+ and A_-
+    are (16,) arrays, one value per row.  When the two channel weights
+    degenerate (which requires the anomalous correlation to vanish), the
+    partial-fraction split is replaced by the per-mode decoupled assignment,
+    which is exact there.
     """
-    b1, b2, d = coeffs.B1N, coeffs.B2N, coeffs.D
-    ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
+    b1, b2, d = ev.coeffs.B1N, ev.coeffs.B2N, ev.coeffs.D
+    c1, c2 = ev.ab1 * ev.abp1, ev.ab2 * ev.abp2
     disc = math.sqrt((b1 - b2) ** 2 + 4.0 * abs(d) ** 2)
     scale = 1.0 + b1 + b2
     if disc < _DEGENERATE_TOL * scale:
-        c1 = ab1 * abp1
-        c2 = ab2 * abp2
-        if b1 >= b2:
-            return GenQuantities(b1, b2, -c1, -c2)
-        return GenQuantities(b2, b1, -c2, -c1)
+        return (b1, b2, -c1, -c2) if b1 >= b2 else (b2, b1, -c2, -c1)
     lam_p = 0.5 * (b1 + b2) + 0.5 * disc
     lam_m = 0.5 * (b1 + b2) - 0.5 * disc
+    cross = ev.abp1 * ev.abp2 * d + ev.ab1 * ev.ab2 * d.conjugate()
 
     def numer(lam):
-        return (
-            abp1 * abp2 * d
-            + ab1 * ab2 * d.conjugate()
-            - ab1 * abp1 * (b2 - lam)
-            - ab2 * abp2 * (b1 - lam)
-        )
+        return cross - c1 * (b2 - lam) - c2 * (b1 - lam)
 
     # the split carries 1/(lambda_minus - lambda_plus) = -1/disc
-    a_p = -numer(lam_p) / disc
-    a_m = numer(lam_m) / disc
-    return GenQuantities(lam_p, lam_m, a_p, a_m)
+    return lam_p, lam_m, -numer(lam_p) / disc, numer(lam_m) / disc
 
 
 # renormalization band of the ladder's running pair, and the log of its step
@@ -167,16 +151,15 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _parity_pairs(terms: list[DensityTerm]) -> list[tuple[DensityTerm, complex]]:
-    """Term i of each parity pair (i, 15 - i) with the pair's summed prefactor."""
-    return [(terms[i], terms[i].prefactor() + terms[15 - i].prefactor()) for i in range(8)]
+def _paired_prefactors(ev: EvolvedTerms) -> list[complex]:
+    """Prefactor of row i plus that of its parity partner 15 - i, i = 0..7."""
+    return (ev.prefactor[:8] + ev.prefactor[:7:-1]).tolist()
 
 
-def _auto_n_max(system: System, t: float, single_mode: int | None) -> int:
+def _auto_n_max(ev: EvolvedTerms, mode: int | None) -> int:
     """Truncation from the mean and variance of the photon-number observable."""
-    scope, mode = ("compound", 1) if single_mode is None else ("single", single_mode)
-    w1, _ = factorial_moments(system, t, 1, scope=scope, mode=mode)
-    w2, _ = factorial_moments(system, t, 2, scope=scope, mode=mode)
+    w1 = _factorial_moment(ev, 1, mode)
+    w2 = _factorial_moment(ev, 2, mode)
     mean = max(w1, 0.0)
     var = max(w2 + mean - mean**2, mean)
     return max(int(math.ceil(mean + 8.0 * math.sqrt(var + 1.0))), 31) + 1
@@ -211,29 +194,26 @@ def sum_pnd(system: System, t: float, n_max: int | None = None) -> Distribution:
     asymmetric interference); the parts may be negative individually, the
     total is a probability distribution.
     """
-    terms, norm = enumerate_terms(system.cat1, system.cat2)
-    pairs = _parity_pairs(terms)
-    coeffs = coeffs_at(system.params, t)
+    ev = evolve_terms(system, t)
+    lam_p, lam_m, a_plus, a_minus = generating_quantities(ev)
+    den_p, den_m = 1.0 + lam_p, 1.0 + lam_m
+    rows = list(zip(ev.kind[:8], _paired_prefactors(ev), a_plus[:8].tolist(),
+                    a_minus[:8].tolist()))
 
     def compute(nm):
         size = _fft_size(2 * nm + 1)
         spec_u, spec_v = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
         parts = {kind: np.zeros(nm + 1) for kind in TermClass}
-        for term, pref in pairs:
-            gq = generating_quantities(term, coeffs)
-            den_p, den_m = 1.0 + gq.lambda_plus, 1.0 + gq.lambda_minus
-            np.fft.fft(_ladder(gq.lambda_plus / den_p, gq.A_plus / den_p**2,
-                               gq.A_plus / den_p, nm), size, out=spec_u)
-            np.fft.fft(_ladder(gq.lambda_minus / den_m, gq.A_minus / den_m**2,
-                               gq.A_minus / den_m, nm), size, out=spec_v)
+        for kind, pref, ap, am in rows:
+            np.fft.fft(_ladder(lam_p / den_p, ap / den_p**2, ap / den_p, nm), size, out=spec_u)
+            np.fft.fft(_ladder(lam_m / den_m, am / den_m**2, am / den_m, nm), size, out=spec_v)
             spec_u *= spec_v
             spec_u *= pref / (den_p * den_m)
-            parts[term.kind] += np.fft.ifft(spec_u, out=spec_u)[: nm + 1].real
-        real_parts = {kind: norm * arr for kind, arr in parts.items()}
+            parts[kind] += np.fft.ifft(spec_u, out=spec_u)[: nm + 1].real
+        real_parts = {kind: ev.norm * arr for kind, arr in parts.items()}
         return sum(real_parts.values()), real_parts
 
-    probs, real_parts, n_max = _with_auto_tail(
-        n_max, lambda: _auto_n_max(system, t, None), compute)
+    probs, real_parts, n_max = _with_auto_tail(n_max, lambda: _auto_n_max(ev, None), compute)
     return Distribution(probs=probs, n_max=n_max, class_parts=real_parts)
 
 
@@ -241,21 +221,18 @@ def single_pnd(mode: int, system: System, t: float, n_max: int | None = None) ->
     """Marginal photon-number distribution of one mode (1 = signal, 2 = idler)."""
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    terms, norm = enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
-    b = coeffs.B1N if mode == 1 else coeffs.B2N
+    ev = evolve_terms(system, t)
+    b, abar, abarp = ev.mode(mode)
     den = 1.0 + b
+    rows = list(zip(_paired_prefactors(ev), (abar[:8] * abarp[:8]).tolist()))
 
     def compute(nm):
         acc = np.zeros(nm + 1, dtype=complex)
-        for term, pref in _parity_pairs(terms):
-            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-            c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
+        for pref, c1 in rows:
             acc += (pref / den) * _ladder(b / den, -c1 / den**2, -c1 / den, nm)
-        return norm * acc.real, None
+        return ev.norm * acc.real, None
 
-    probs, _, n_max = _with_auto_tail(
-        n_max, lambda: _auto_n_max(system, t, mode), compute)
+    probs, _, n_max = _with_auto_tail(n_max, lambda: _auto_n_max(ev, mode), compute)
     return Distribution(probs=probs, n_max=n_max)
 
 
@@ -283,26 +260,30 @@ def factorial_moments(
         raise ValueError("scope must be 'compound' or 'single'")
     if k == 0:
         return 1.0, 0.0
-    terms, norm = enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
-    kfac = math.factorial(k)
-    total = 0j
-    for term, pref in _parity_pairs(terms):
-        if scope == "compound":
-            gq = generating_quantities(term, coeffs)
-            lp = _ladder(complex(gq.lambda_plus), gq.A_plus, 0j, k)
-            lm = _ladder(complex(gq.lambda_minus), gq.A_minus, 0j, k)
-            val = kfac * np.dot(lm[::-1], lp)
-        else:
-            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-            b = coeffs.B1N if mode == 1 else coeffs.B2N
-            c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
-            val = kfac * _ladder(complex(b), -c1, 0j, k)[k]
-        total += pref * val
-    wk = float((norm * total).real)
+    ev = evolve_terms(system, t)
+    mode = None if scope == "compound" else mode
+    wk = _factorial_moment(ev, k, mode)
     if k == 1:
         return wk, 0.0
-    w1 = factorial_moments(system, t, 1, scope=scope, mode=mode)[0]
+    w1 = _factorial_moment(ev, 1, mode)
     if w1 == 0.0:
         return wk, float("nan")
     return wk, wk / w1**k - 1.0
+
+
+def _factorial_moment(ev: EvolvedTerms, k: int, mode: int | None) -> float:
+    """<W^k> of the sum n1 + n2 (mode None) or of one mode, from the record."""
+    kfac = math.factorial(k)
+    if mode is None:
+        lam_p, lam_m, a_plus, a_minus = generating_quantities(ev)
+        vals = [kfac * np.dot(_ladder(complex(lam_m), am, 0j, k)[::-1],
+                              _ladder(complex(lam_p), ap, 0j, k))
+                for ap, am in zip(a_plus[:8].tolist(), a_minus[:8].tolist())]
+    else:
+        b, abar, abarp = ev.mode(mode)
+        vals = [kfac * _ladder(complex(b), -c1, 0j, k)[k]
+                for c1 in (abar[:8] * abarp[:8]).tolist()]
+    total = 0j
+    for pref, val in zip(_paired_prefactors(ev), vals):
+        total += pref * val
+    return float((ev.norm * total).real)

@@ -2,9 +2,10 @@
 
 The product of two two-component superpositions expands into 16 elementary
 operators |k1>|k2><b2|<b1| with ket/bra amplitudes +-alpha_j and a pure phase
-weight.  Terms split into three classes: diagonal (statistical mixture), both
-modes off-diagonal (symmetric interference), one mode off-diagonal (asymmetric
-interference).  The global factor N1^2*N2^2 is returned separately.
+weight, held as the rows of one term table.  Terms split into three classes:
+diagonal (statistical mixture), both modes off-diagonal (symmetric
+interference), one mode off-diagonal (asymmetric interference).  The global
+factor N1^2*N2^2 is returned separately.
 
 The total parity maps each term to its all-signs-flipped partner, which has
 the conjugate weight, and the amplifier and thermal losses conserve it; so in
@@ -19,6 +20,8 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .params import CatSpec, normalization
 
 
@@ -28,28 +31,36 @@ class TermClass(Enum):
     ASYM_INTERFERENCE = "AI"
 
 
+# canonical row order: bits 3..0 of the row index are the signs of the mode-1
+# ket, mode-1 bra, mode-2 ket and mode-2 bra amplitudes (0 is +, 1 is -), so
+# row 15 - i is row i with every sign flipped, its parity partner
+_NEG1K, _NEG1B, _NEG2K, _NEG2B = ((np.arange(16) >> bit) & 1 for bit in (3, 2, 1, 0))
+_OFF1, _OFF2 = _NEG1K != _NEG1B, _NEG2K != _NEG2B
+_KINDS = tuple(
+    TermClass.SYM_INTERFERENCE if off1 and off2
+    else TermClass.ASYM_INTERFERENCE if off1 or off2
+    else TermClass.MIXTURE
+    for off1, off2 in zip(_OFF1, _OFF2)
+)
+
+
 @dataclass(frozen=True)
-class DensityTerm:
-    """One of the 16 elements |a1_ket>|a2_ket><a2_bra|<a1_bra| * weight."""
+class TermTable:
+    """The 16 elements |a1_ket>|a2_ket><a2_bra|<a1_bra| * weight as rows.
 
-    a1_ket: complex
-    a1_bra: complex
-    a2_ket: complex
-    a2_bra: complex
-    weight: complex
-    kind: TermClass
+    Every field but kind is a (16,) complex array in canonical order.  The
+    prefactor of a row is its weight times the coherent overlaps <bra|ket> of
+    both modes, i.e. its trace; the 16 prefactors weighted by N1^2*N2^2 sum
+    to exactly 1.
+    """
 
-    def prefactor(self) -> complex:
-        """weight times the coherent overlaps <bra|ket> of both modes.
-
-        The prefactor is the term's trace; the 16 prefactors weighted by
-        N1^2*N2^2 sum to exactly 1.
-        """
-        return (
-            self.weight
-            * coherent_overlap(self.a1_bra, self.a1_ket)
-            * coherent_overlap(self.a2_bra, self.a2_ket)
-        )
+    a1_ket: np.ndarray
+    a1_bra: np.ndarray
+    a2_ket: np.ndarray
+    a2_bra: np.ndarray
+    weight: np.ndarray
+    prefactor: np.ndarray
+    kind: tuple[TermClass, ...] = _KINDS
 
 
 def coherent_overlap(bra: complex, ket: complex) -> complex:
@@ -59,48 +70,27 @@ def coherent_overlap(bra: complex, ket: complex) -> complex:
     )
 
 
-_SIGNS = (1, -1)  # canonical ordering: + before -
+def enumerate_terms(cat1: CatSpec, cat2: CatSpec) -> tuple[TermTable, float]:
+    """The term table plus the global factor N1^2*N2^2.
 
-
-def enumerate_terms(cat1: CatSpec, cat2: CatSpec) -> tuple[list[DensityTerm], float]:
-    """All 16 density-operator terms plus the global factor N1^2*N2^2.
-
-    Ordering is canonical (mode-1 ket sign, mode-1 bra sign, mode-2 ket sign,
-    mode-2 bra sign; + before -) so per-term and per-class outputs downstream
-    are deterministic.  Weights are built as exp of exact +-rel_phase sums.
+    Rows are in canonical order (mode-1 ket sign, mode-1 bra sign, mode-2 ket
+    sign, mode-2 bra sign; + before -) so per-term and per-class outputs
+    downstream are deterministic.  Weights are built as exp of exact
+    +-rel_phase sums.  A mode's overlap takes one value on the diagonal and
+    one off it, so four overlaps serve all 16 rows.
     """
     a1 = cat1.amplitude
     a2 = cat2.amplitude
-    terms: list[DensityTerm] = []
-    for s1k in _SIGNS:
-        for s1b in _SIGNS:
-            for s2k in _SIGNS:
-                for s2b in _SIGNS:
-                    phase = 0.0
-                    if s1k < 0:
-                        phase += cat1.rel_phase
-                    if s1b < 0:
-                        phase -= cat1.rel_phase
-                    if s2k < 0:
-                        phase += cat2.rel_phase
-                    if s2b < 0:
-                        phase -= cat2.rel_phase
-                    off1 = s1k != s1b
-                    off2 = s2k != s2b
-                    if off1 and off2:
-                        kind = TermClass.SYM_INTERFERENCE
-                    elif off1 or off2:
-                        kind = TermClass.ASYM_INTERFERENCE
-                    else:
-                        kind = TermClass.MIXTURE
-                    terms.append(
-                        DensityTerm(
-                            a1_ket=s1k * a1,
-                            a1_bra=s1b * a1,
-                            a2_ket=s2k * a2,
-                            a2_bra=s2b * a2,
-                            weight=cmath.exp(1j * phase),
-                            kind=kind,
-                        )
-                    )
-    return terms, normalization(cat1) * normalization(cat2)
+    weight = np.exp(1j * ((_NEG1K - _NEG1B) * cat1.rel_phase
+                          + (_NEG2K - _NEG2B) * cat2.rel_phase))
+    overlap1 = np.where(_OFF1, coherent_overlap(a1, -a1), coherent_overlap(a1, a1))
+    overlap2 = np.where(_OFF2, coherent_overlap(a2, -a2), coherent_overlap(a2, a2))
+    table = TermTable(
+        a1_ket=(1 - 2 * _NEG1K) * a1,
+        a1_bra=(1 - 2 * _NEG1B) * a1,
+        a2_ket=(1 - 2 * _NEG2K) * a2,
+        a2_bra=(1 - 2 * _NEG2B) * a2,
+        weight=weight,
+        prefactor=weight * overlap1 * overlap2,
+    )
+    return table, normalization(cat1) * normalization(cat2)

@@ -1,9 +1,9 @@
 """Single-mode Wigner function on a phase-space grid.
 
-Each density-operator term contributes a complex Gaussian centred between its
-evolved bra/ket drift amplitudes, with a width growing with the accumulated
-noise; the 16-term weighted sum is real.  Negativity of the summed function
-signals surviving phase-space interference.
+Each row of the evolved term record contributes a complex Gaussian centred
+between its bra/ket drift amplitudes, with a width growing with the
+accumulated noise; the 16-row weighted sum is real.  Negativity of the summed
+function signals surviving phase-space interference.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import EvolvedCoeffs, coeffs_at, evolved_amplitudes
+from .coeffs import EvolvedTerms, evolve_terms
 from .params import System
-from .rho_terms import DensityTerm, enumerate_terms
 
 _IMAG_RESIDUE_TOL = 1e-10
 _BOUNDARY_TOL = 1e-6
@@ -72,28 +71,21 @@ class PhaseGrid:
         return float(np.sum(self.values)) * dx * dy
 
 
-def wigner_term(term: DensityTerm, coeffs: EvolvedCoeffs, z, mode: int = 1):
-    """One term's (complex) Wigner contribution at z (scalar or array)."""
+def _wigner_sum(ev: EvolvedTerms, z, mode: int) -> np.ndarray:
+    """Wigner function of one mode at z, summed row by row over the record.
+
+    Each row is a complex Gaussian on the shape of z; the rows are added one
+    at a time so that at most a few arrays of that shape are alive.
+    """
+    b, abar, abarp = ev.mode(mode)
     z = np.asarray(z, dtype=complex)
-    ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-    if mode == 1:
-        b, abar, abarp = coeffs.B1N, ab1, abp1
-    elif mode == 2:
-        b, abar, abarp = coeffs.B2N, ab2, abp2
-    else:
-        raise ValueError("mode must be 1 or 2")
+    zc = np.conj(z)
     width = 1.0 + 2.0 * b
-    val = (2.0 / (math.pi * width)) * term.prefactor() * np.exp(
-        -2.0 * (abar - np.conj(z)) * (abarp - z) / width
+    height = 2.0 / (math.pi * width)
+    acc = ev.norm * sum(
+        height * pref * np.exp(-2.0 * (ab - zc) * (abp - z) / width)
+        for pref, ab, abp in zip(ev.prefactor.tolist(), abar.tolist(), abarp.tolist())
     )
-    return val if val.ndim else val[()]
-
-
-def _wigner_sum(system: System, t: float, z, mode: int = 1) -> np.ndarray:
-    terms, norm = enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
-    acc = norm * sum(wigner_term(term, coeffs, z, mode) for term in terms)
-    acc = np.asarray(acc)
     scale = float(np.max(np.abs(acc))) or 1.0
     residue = float(np.max(np.abs(acc.imag)))
     if residue > _IMAG_RESIDUE_TOL * scale:
@@ -103,34 +95,28 @@ def _wigner_sum(system: System, t: float, z, mode: int = 1) -> np.ndarray:
     return acc.real
 
 
-def wigner_point(system: System, t: float, z: complex, mode: int = 1) -> float:
-    """Wigner function of one mode at a single phase-space point."""
-    return float(_wigner_sum(system, t, complex(z), mode))
+def _default_grid(ev: EvolvedTerms, mode: int, nx: int = 201, ny: int = 201) -> GridSpec:
+    b, _, abarp = ev.mode(mode)
+    r = float(np.max(np.abs(abarp))) + 5.0 * math.sqrt(1.0 + 2.0 * b)
+    return GridSpec(-r, r, -r, r, nx, ny)
 
 
 def default_grid(system: System, t: float, mode: int = 1,
                  nx: int = 201, ny: int = 201) -> GridSpec:
     """Symmetric grid covering all drift centres plus 5 noise widths."""
-    terms, _ = enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
-    centers = []
-    for term in terms:
-        ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-        centers.append(abs(abp1 if mode == 1 else abp2))
-    b = coeffs.B1N if mode == 1 else coeffs.B2N
-    r = max(centers) + 5.0 * math.sqrt(1.0 + 2.0 * b)
-    return GridSpec(-r, r, -r, r, nx, ny)
+    return _default_grid(evolve_terms(system, t), mode, nx, ny)
 
 
 def wigner_grid(system: System, t: float, spec: GridSpec | None = None,
                 mode: int = 1) -> PhaseGrid:
     """Wigner function of one mode over a rectangular grid."""
+    ev = evolve_terms(system, t)
     if spec is None:
-        spec = default_grid(system, t, mode)
+        spec = _default_grid(ev, mode)
     x = np.linspace(spec.x_min, spec.x_max, spec.nx)
     y = np.linspace(spec.y_min, spec.y_max, spec.ny)
     z = x[None, :] + 1j * y[:, None]
-    vals = _wigner_sum(system, t, z, mode)
+    vals = _wigner_sum(ev, z, mode)
     peak = float(np.max(np.abs(vals))) or 1.0
     edge = max(
         float(np.max(np.abs(vals[0, :]))),
@@ -150,11 +136,12 @@ def wigner_grid(system: System, t: float, spec: GridSpec | None = None,
 def wigner_cut(system: System, t: float, y: float = -0.25,
                x: np.ndarray | None = None, mode: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Wigner values along a constant-y line (exact evaluation, no snapping)."""
+    ev = evolve_terms(system, t)
     if x is None:
-        spec = default_grid(system, t, mode)
+        spec = _default_grid(ev, mode)
         x = np.linspace(spec.x_min, spec.x_max, spec.nx)
     z = np.asarray(x) + 1j * y
-    return np.asarray(x), _wigner_sum(system, t, z, mode)
+    return np.asarray(x), _wigner_sum(ev, z, mode)
 
 
 def _strict_maxima(v: np.ndarray, cut: float) -> list[tuple[float, int, int]]:

@@ -6,6 +6,7 @@ import pytest
 
 import catamp as ca
 from catamp import oracle
+from catamp.charfn import _char_terms
 
 from conftest import make_system, random_cat
 
@@ -36,24 +37,23 @@ class TestCharFunction:
     def test_coherent_term_at_t0(self):
         # diagonal coherent element reduces to the textbook form
         system = make_system("even", 1.1, "even", 0.6)
-        terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
-        coeffs = ca.coeffs_at(system.params, 0.0)
-        term = terms[0]  # (+,+,+,+) diagonal
+        table, _ = ca.enumerate_terms(system.cat1, system.cat2)
+        ev = ca.evolve_terms(system, 0.0)
         z1 = 0.4 - 0.2j
-        val = ca.char_term(term, coeffs, z1, 0j)
-        a1 = term.a1_ket
+        val = _char_terms(ev, z1, 0j)[0]  # row 0: (+,+,+,+) diagonal
+        a1 = table.a1_ket[0]
         assert val == pytest.approx(cmath.exp(z1 * np.conj(a1) - np.conj(z1) * a1))
 
     def test_single_mode_is_zeta2_slice(self, rng):
+        # at zeta2 = 0 only the signal's noise and drift amplitudes remain
         system = make_system("yss", 1.3, "odd", 0.9, psi1=0.7)
-        terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
-        coeffs = ca.coeffs_at(system.params, 0.45)
+        t = 0.45
+        ev = ca.evolve_terms(system, t)
         for _ in range(5):
             z = complex(rng.normal(), rng.normal()) * 0.5
-            for term in terms[:4]:
-                assert ca.single_mode_char(term, coeffs, z) == ca.char_term(
-                    term, coeffs, z, 0j
-                )
+            signal = ev.norm * np.sum(ev.prefactor * np.exp(
+                -abs(z) ** 2 * ev.coeffs.B1N + z * ev.ab1 - np.conj(z) * ev.abp1))
+            assert ca.char_full(system, t, z, 0j) == pytest.approx(signal, rel=1e-13)
 
     def test_hermiticity_property(self, rng):
         # C(-z1, -z2) = conj(C(z1, z2)) for a hermitian state

@@ -196,10 +196,17 @@ class TestBadValues:
          "grid: y_max must be finite"),
         ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": "x"}},
          "grid.nx: expected a number"),
+        ("squeeze", {"k": 2.7}, "k: expected an integer, got 2.7"),
+        ("squeeze", {"mode": 1.9}, "mode: expected an integer, got 1.9"),
+        ("pnd", {"n_max": 40.5}, "n_max: expected an integer, got 40.5"),
+        ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": 21.9}},
+         "grid.nx: expected an integer, got 21.9"),
+        ("squeeze", {"k": True}, "k: expected a number, got True"),
     ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan",
             "time_text", "cut_y_text", "cut_y_inf", "mode_text", "k_text", "n_max_text",
             "n_max_inf", "amp_mag_text", "amp_phase_list", "rel_phase_text", "params_g_text",
-            "grid_x_min_nan", "grid_y_max_inf", "grid_nx_text"])
+            "grid_x_min_nan", "grid_y_max_inf", "grid_nx_text", "k_fraction", "mode_fraction",
+            "n_max_fraction", "grid_nx_fraction", "k_bool"])
     def test_exit_2_names_the_field(self, tmp_path, capsys, command, extra, message):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, dict(extra, out=str(out)))
@@ -216,6 +223,11 @@ class TestOtherCommands:
         assert rows[0] == "n,p,p_mixture,p_sym_interference,p_asym_interference"
         total = sum(float(r.split(",")[1]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "pnd.csv"), "n_max": 40.0})
+        assert main(["pnd", "--config", cfg]) == 0
+        assert len((tmp_path / "pnd.csv").read_text().splitlines()) == 42
 
     def test_pnd_strict_escalates_truncation(self, tmp_path):
         cfg = write_config(tmp_path, {"out": str(tmp_path / "pnd.csv"), "n_max": 3})

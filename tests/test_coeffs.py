@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -165,37 +166,36 @@ class TestNoiseCoeffs:
 class TestEvolvedAmplitudes:
     def test_initial_identity(self, rng):
         sys1 = make_system("even", 1.3, "yss", 0.8, psi1=0.4, psi2=1.1)
-        terms, _ = ca.enumerate_terms(sys1.cat1, sys1.cat2)
-        coeffs = ca.coeffs_at(sys1.params, 0.0)
-        for term in terms:
-            ab1, ab2, abp1, abp2 = ca.evolved_amplitudes(term, coeffs)
-            assert ab1 == pytest.approx(np.conj(term.a1_bra))
-            assert ab2 == pytest.approx(np.conj(term.a2_bra))
-            assert abp1 == pytest.approx(term.a1_ket)
-            assert abp2 == pytest.approx(term.a2_ket)
+        table, norm = ca.enumerate_terms(sys1.cat1, sys1.cat2)
+        ev = ca.evolve_terms(sys1, 0.0)
+        assert ev.norm == norm and ev.kind == table.kind
+        assert np.array_equal(ev.prefactor, table.prefactor)
+        for i in range(16):
+            assert ev.ab1[i] == pytest.approx(np.conj(table.a1_bra[i]))
+            assert ev.ab2[i] == pytest.approx(np.conj(table.a2_bra[i]))
+            assert ev.abp1[i] == pytest.approx(table.a1_ket[i])
+            assert ev.abp2[i] == pytest.approx(table.a2_ket[i])
 
     def test_diagonal_coherent_undamped(self):
-        # the ket-side signal amplitude follows cosh/sinh mixing
+        # the ket-side signal amplitude follows cosh/sinh mixing; row 0 is the
+        # diagonal coherent element |1.2>|0.7><0.7|<1.2|
         p = ca.AmplifierParams(g=1.0, pump_phase=0.9)
-        coeffs = ca.coeffs_at(p, 0.6)
-        term = ca.DensityTerm(a1_ket=1.2 + 0j, a1_bra=1.2 + 0j,
-                              a2_ket=0.7 + 0j, a2_bra=0.7 + 0j,
-                              weight=1.0 + 0j, kind=ca.TermClass.MIXTURE)
-        _, _, abp1, _ = ca.evolved_amplitudes(term, coeffs)
+        ev = ca.evolve_terms(ca.System(ca.CatSpec.even(1.2), ca.CatSpec.even(0.7), p), 0.6)
         expect = 1.2 * math.cosh(0.6) + 1j * np.exp(0.9j) * 0.7 * math.sinh(0.6)
-        assert abp1 == pytest.approx(expect, rel=1e-12)
+        assert ev.abp1[0] == pytest.approx(expect, rel=1e-12)
+        # every row mixes its own signal ket and idler bra the same way
+        table, _ = ca.enumerate_terms(ca.CatSpec.even(1.2), ca.CatSpec.even(0.7))
+        expect = (table.a1_ket * math.cosh(0.6)
+                  + 1j * np.exp(0.9j) * np.conj(table.a2_bra) * math.sinh(0.6))
+        assert np.allclose(ev.abp1, expect, rtol=1e-12, atol=0)
 
     def test_overdamped_drift_decays(self):
         # strongly damped case: the evolved signal amplitude shrinks monotonically
         p = ca.AmplifierParams(g=1.0, pump_phase=np.pi / 2, gamma1=5.0, gamma2=5.0,
                                nbar1=1.0, nbar2=1.0)
-        term = ca.DensityTerm(a1_ket=3.0 + 0j, a1_bra=3.0 + 0j,
-                              a2_ket=2.0 + 0j, a2_bra=2.0 + 0j,
-                              weight=1.0 + 0j, kind=ca.TermClass.MIXTURE)
-        mags = []
-        for t in np.linspace(0.0, 2.0, 41):
-            coeffs = ca.coeffs_at(p, float(t))
-            mags.append(abs(ca.evolved_amplitudes(term, coeffs)[2]))
+        system = ca.System(ca.CatSpec.even(3.0), ca.CatSpec.even(2.0), p)
+        mags = [abs(ca.evolve_terms(system, float(t)).abp1[0])
+                for t in np.linspace(0.0, 2.0, 41)]
         assert all(b < a + 1e-12 for a, b in zip(mags, mags[1:]))
 
 
@@ -222,3 +222,34 @@ class TestNonFiniteTime:
         system = make_system("even", 1.0, "odd", 0.5)
         with pytest.raises(ValueError, match="t must be finite"):
             observable(system, t)
+
+
+class TestOneEvaluationPerCall:
+    # every observable builds the evolved record once per (system, t)
+    @pytest.mark.parametrize("observable", [
+        lambda s, t: ca.moment(1, 1, 1, 1, s, t),
+        lambda s, t: ca.char_full(s, t, 0.3 - 0.1j, 0.2j),
+        lambda s, t: ca.sum_pnd(s, t),
+        lambda s, t: ca.single_pnd(2, s, t),
+        lambda s, t: ca.factorial_moments(s, t, 3),
+        lambda s, t: ca.factorial_moments(s, t, 2, scope="single", mode=1),
+        lambda s, t: ca.wigner_grid(s, t),
+        lambda s, t: ca.wigner_cut(s, t),
+    ], ids=["moment", "char_full", "sum_pnd", "single_pnd", "factorial_moments",
+            "factorial_moments_single", "wigner_grid", "wigner_cut"])
+    def test_enumerate_terms_and_coeffs_at_run_once(self, monkeypatch, observable):
+        calls = {"enumerate_terms": 0, "coeffs_at": 0}
+        for name in calls:
+            original = getattr(ca.coeffs, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            # patch every catamp namespace that binds the function
+            for module in [m for key, m in sys.modules.items() if key.startswith("catamp")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        system = make_system("even", 1.1, "odd", 0.7, gamma=0.3, nbar=0.2)
+        observable(system, 0.4)
+        assert calls == {"enumerate_terms": 1, "coeffs_at": 1}

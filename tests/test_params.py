@@ -39,6 +39,12 @@ class TestNormalization:
         with pytest.raises(ValueError):
             ca.CatSpec(-0.1)
 
+    def test_negative_amplifier_values_rejected(self):
+        with pytest.raises(ValueError):
+            ca.AmplifierParams(g=-1.0)
+        with pytest.raises(ValueError):
+            ca.AmplifierParams(g=1.0, nbar1=-0.2)
+
     def test_non_finite_cat_rejected(self):
         with pytest.raises(ValueError, match="amp_phase must be finite"):
             ca.CatSpec(1.0, amp_phase=math.nan)
@@ -84,18 +90,3 @@ class TestRegime:
                 gamma2=float(rng.uniform(0, 4)),
             )
             assert p.eps >= 0.0
-
-
-class TestMismatch:
-    def test_mismatch_phase(self):
-        params = ca.AmplifierParams(g=1.0, pump_phase=np.pi / 2)
-        c1 = ca.CatSpec.even(1.0, 0.3)
-        c2 = ca.CatSpec.even(1.0, 0.4)
-        psi = ca.mismatch_phase(params, c1, c2).psi
-        assert psi == pytest.approx((np.pi / 2 - 0.7) % (2 * np.pi))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ca.AmplifierParams(g=-1.0)
-        with pytest.raises(ValueError):
-            ca.AmplifierParams(g=1.0, nbar1=-0.2)

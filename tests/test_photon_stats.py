@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -6,15 +5,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import eval_laguerre
 
 import catamp as ca
 from catamp import oracle
-from catamp.coeffs import coeffs_at, evolved_amplitudes
 from catamp.photon_stats import TruncationWarning, _ladder
 
-from conftest import make_system, random_cat
+from conftest import CAT_MAKERS, amplifiers, cats, make_system, random_cat, swap_modes
 
 
 class TestLaguerre:
@@ -56,39 +54,33 @@ class TestGeneratingQuantities:
             t = float(rng.uniform(0, 1.2))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                coeffs = coeffs_at(system.params, t)
-            terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
-            gq = ca.generating_quantities(terms[3], coeffs)
+                ev = ca.evolve_terms(system, t)
+            coeffs = ev.coeffs
+            lam_p, lam_m, _, _ = ca.generating_quantities(ev)
             scale = 1.0 + coeffs.B1N + coeffs.B2N
-            assert gq.lambda_plus + gq.lambda_minus == pytest.approx(
-                coeffs.B1N + coeffs.B2N, abs=1e-12 * scale)
-            assert gq.lambda_plus * gq.lambda_minus == pytest.approx(
+            assert lam_p + lam_m == pytest.approx(coeffs.B1N + coeffs.B2N, abs=1e-12 * scale)
+            assert lam_p * lam_m == pytest.approx(
                 coeffs.B1N * coeffs.B2N - abs(coeffs.D) ** 2, abs=1e-9 * scale**2)
 
     def test_vacuum_undamped_split(self):
         # thermal weights split as sinh^2 +- sinh*cosh; the lower one is negative
-        params = ca.AmplifierParams(g=1.0, pump_phase=0.4)
         system = make_system("even", 0.0, "even", 0.0, pump=0.4)
         t = 0.6
-        coeffs = coeffs_at(params, t)
-        terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
-        gq = ca.generating_quantities(terms[0], coeffs)
+        lam_p, lam_m, _, _ = ca.generating_quantities(ca.evolve_terms(system, t))
         s, c = math.sinh(t), math.cosh(t)
-        assert gq.lambda_plus == pytest.approx(s * s + s * c, rel=1e-12)
-        assert gq.lambda_minus == pytest.approx(s * s - s * c, rel=1e-12)
-        assert gq.lambda_minus < 0.0
+        assert lam_p == pytest.approx(s * s + s * c, rel=1e-12)
+        assert lam_m == pytest.approx(s * s - s * c, rel=1e-12)
+        assert lam_m < 0.0
 
     def test_t0_reduces_to_initial_amplitudes(self):
         system = make_system("even", 1.1, "yss", 0.8, psi1=0.5)
-        coeffs = coeffs_at(system.params, 0.0)
-        terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
-        for term in terms[:4]:
-            gq = ca.generating_quantities(term, coeffs)
-            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-            assert gq.lambda_plus == pytest.approx(0.0, abs=1e-12)
-            assert gq.lambda_minus == pytest.approx(0.0, abs=1e-12)
-            assert gq.A_plus + gq.A_minus == pytest.approx(
-                -(ab1 * abp1 + ab2 * abp2), abs=1e-12)
+        ev = ca.evolve_terms(system, 0.0)
+        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+        assert lam_p == pytest.approx(0.0, abs=1e-12)
+        assert lam_m == pytest.approx(0.0, abs=1e-12)
+        for i in range(16):
+            assert a_plus[i] + a_minus[i] == pytest.approx(
+                -(ev.ab1[i] * ev.abp1[i] + ev.ab2[i] * ev.abp2[i]), abs=1e-12)
 
     def test_matches_direct_gaussian_integral(self, rng):
         # the generating function evaluated through lambda/A equals the
@@ -98,17 +90,18 @@ class TestGeneratingQuantities:
                                               gamma1=0.7, gamma2=0.3,
                                               nbar1=0.4, nbar2=0.6))
         t = 0.52
-        coeffs = coeffs_at(system.params, t)
-        terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
-        for term in terms[:6]:
-            gq = ca.generating_quantities(term, coeffs)
-            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
+        ev = ca.evolve_terms(system, t)
+        coeffs = ev.coeffs
+        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+        for i in range(6):
+            pref, ab1, ab2, abp1, abp2 = (ev.prefactor[i], ev.ab1[i], ev.ab2[i],
+                                          ev.abp1[i], ev.abp2[i])
             for lam in (0.35, 1.0):
                 via_split = (
-                    term.prefactor()
-                    / ((1 + lam * gq.lambda_plus) * (1 + lam * gq.lambda_minus))
-                    * np.exp(gq.A_plus * lam / (1 + lam * gq.lambda_plus)
-                             + gq.A_minus * lam / (1 + lam * gq.lambda_minus))
+                    pref
+                    / ((1 + lam * lam_p) * (1 + lam * lam_m))
+                    * np.exp(a_plus[i] * lam / (1 + lam * lam_p)
+                             + a_minus[i] * lam / (1 + lam * lam_m))
                 )
                 # real 4x4 Gaussian: zeta_j = x_j + i y_j
                 m = np.zeros((4, 4))
@@ -127,7 +120,7 @@ class TestGeneratingQuantities:
                               ab2 - abp2, 1j * (ab2 + abp2)])
                 sol = np.linalg.solve(m, b)
                 direct = (
-                    term.prefactor()
+                    pref
                     / (lam**2 * math.sqrt(np.linalg.det(m)))
                     * np.exp(0.25 * np.dot(b, sol))
                 )
@@ -216,26 +209,23 @@ class TestSumPnd:
         # match; this pins the resolved convention
         system = make_system("even", 0.8, "even", 0.8, pump=np.pi / 2)
         t = 0.3
-        coeffs = coeffs_at(system.params, t)
-        terms, norm = ca.enumerate_terms(system.cat1, system.cat2)
+        ev = ca.evolve_terms(system, t)
+        lp, lm, a_plus, a_minus = ca.generating_quantities(ev)
+        dp, dm = 1.0 + lp, 1.0 + lm
         n_max = 30
         wrong = np.zeros(n_max + 1)
-        for term in terms:
-            gq = ca.generating_quantities(term, coeffs)
-            lp, lm = gq.lambda_plus, gq.lambda_minus
-            dp, dm = 1.0 + lp, 1.0 + lm
-            pref = term.prefactor() / (dp * dm) * np.exp(
-                gq.A_plus / dp + gq.A_minus / dm)
+        for i in range(16):
+            pref = ev.prefactor[i] / (dp * dm) * np.exp(a_plus[i] / dp + a_minus[i] / dm)
             for n in range(n_max + 1):
                 acc = 0j
                 for el in range(n + 1):
                     acc += (
                         (lm / dm) ** (n - el) * (lp / dp) ** el
-                        * ca.laguerre(n - el, gq.A_minus / (lm * dm))
-                        * ca.laguerre(el, gq.A_plus / (lp * dp))
+                        * ca.laguerre(n - el, a_minus[i] / (lm * dm))
+                        * ca.laguerre(el, a_plus[i] / (lp * dp))
                         / (math.factorial(n - el) * math.factorial(el))
                     )
-                wrong[n] += (norm * pref * acc).real
+                wrong[n] += (ev.norm * pref * acc).real
         correct = ca.sum_pnd(system, t, n_max=n_max).probs
         assert abs(np.sum(wrong) - 1.0) > 1e-3
         assert np.max(np.abs(wrong - correct)) > 1e-3
@@ -319,16 +309,14 @@ class TestFactorialMoments:
 
     def test_coherent_term_is_poissonian_at_t0(self):
         # a diagonal coherent element (plain coherent input) has exactly
-        # Poissonian factorial moments before any evolution
-        term = ca.DensityTerm(a1_ket=1.3 + 0j, a1_bra=1.3 + 0j,
-                              a2_ket=0.9 + 0j, a2_bra=0.9 + 0j,
-                              weight=1.0 + 0j, kind=ca.TermClass.MIXTURE)
-        coeffs = coeffs_at(ca.AmplifierParams(g=1.0), 0.0)
-        gq = ca.generating_quantities(term, coeffs)
+        # Poissonian factorial moments before any evolution; row 0 is the
+        # diagonal coherent element |1.3>|0.9><0.9|<1.3|
+        system = ca.System(ca.CatSpec.even(1.3), ca.CatSpec.even(0.9), ca.AmplifierParams(g=1.0))
+        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ca.evolve_terms(system, 0.0))
         mean = 1.3**2 + 0.9**2
         for k in (1, 2, 3, 5):
-            lp = _ladder(complex(gq.lambda_plus), gq.A_plus, 0j, k)
-            lm = _ladder(complex(gq.lambda_minus), gq.A_minus, 0j, k)
+            lp = _ladder(complex(lam_p), a_plus[0], 0j, k)
+            lm = _ladder(complex(lam_m), a_minus[0], 0j, k)
             wk = (math.factorial(k) * np.dot(lm[::-1], lp)).real
             assert wk == pytest.approx(mean**k, rel=1e-12)
 
@@ -365,52 +353,49 @@ class TestFactorialMoments:
 
 
 def direct_sum_parts(system, t, n_max):
-    """Class parts of P(n1 + n2): per-term ladders and np.convolve over all 16 terms."""
-    terms, norm = ca.enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
+    """Class parts of P(n1 + n2): per-row ladders and np.convolve over all 16 rows."""
+    ev = ca.evolve_terms(system, t)
+    lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+    dp, dm = 1.0 + lam_p, 1.0 + lam_m
     parts = {kind: np.zeros(n_max + 1, dtype=complex) for kind in ca.TermClass}
-    for term in terms:
-        gq = ca.generating_quantities(term, coeffs)
-        dp, dm = 1.0 + gq.lambda_plus, 1.0 + gq.lambda_minus
-        u = _ladder(gq.lambda_plus / dp, gq.A_plus / dp**2, gq.A_plus / dp, n_max)
-        v = _ladder(gq.lambda_minus / dm, gq.A_minus / dm**2, gq.A_minus / dm, n_max)
-        parts[term.kind] += term.prefactor() / (dp * dm) * np.convolve(u, v)[: n_max + 1]
-    return {kind: norm * arr.real for kind, arr in parts.items()}
+    for i in range(16):
+        u = _ladder(lam_p / dp, a_plus[i] / dp**2, a_plus[i] / dp, n_max)
+        v = _ladder(lam_m / dm, a_minus[i] / dm**2, a_minus[i] / dm, n_max)
+        parts[ev.kind[i]] += ev.prefactor[i] / (dp * dm) * np.convolve(u, v)[: n_max + 1]
+    return {kind: ev.norm * arr.real for kind, arr in parts.items()}
+
+
+def _row_c1(ev, i, mode):
+    return ev.ab1[i] * ev.abp1[i] if mode == 1 else ev.ab2[i] * ev.abp2[i]
 
 
 def direct_single(mode, system, t, n_max):
-    terms, norm = ca.enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
-    b = coeffs.B1N if mode == 1 else coeffs.B2N
+    ev = ca.evolve_terms(system, t)
+    b = ev.coeffs.B1N if mode == 1 else ev.coeffs.B2N
     acc = np.zeros(n_max + 1, dtype=complex)
-    for term in terms:
-        ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-        c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
-        acc += term.prefactor() / (1 + b) * _ladder(b / (1 + b), -c1 / (1 + b) ** 2,
-                                                    -c1 / (1 + b), n_max)
-    return norm * acc.real
+    for i in range(16):
+        c1 = _row_c1(ev, i, mode)
+        acc += ev.prefactor[i] / (1 + b) * _ladder(b / (1 + b), -c1 / (1 + b) ** 2,
+                                                   -c1 / (1 + b), n_max)
+    return ev.norm * acc.real
 
 
 def direct_factorial(system, t, k, scope, mode=1):
-    terms, norm = ca.enumerate_terms(system.cat1, system.cat2)
-    coeffs = coeffs_at(system.params, t)
+    ev = ca.evolve_terms(system, t)
+    lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
     total = 0j
-    for term in terms:
+    for i in range(16):
         if scope == "compound":
-            gq = ca.generating_quantities(term, coeffs)
-            lp = _ladder(complex(gq.lambda_plus), gq.A_plus, 0j, k)
-            lm = _ladder(complex(gq.lambda_minus), gq.A_minus, 0j, k)
+            lp = _ladder(complex(lam_p), a_plus[i], 0j, k)
+            lm = _ladder(complex(lam_m), a_minus[i], 0j, k)
             val = np.dot(lm[::-1], lp)
         else:
-            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-            b = coeffs.B1N if mode == 1 else coeffs.B2N
-            c1 = ab1 * abp1 if mode == 1 else ab2 * abp2
-            val = _ladder(complex(b), -c1, 0j, k)[k]
-        total += term.prefactor() * val
-    return float((norm * math.factorial(k) * total).real)
+            b = ev.coeffs.B1N if mode == 1 else ev.coeffs.B2N
+            val = _ladder(complex(b), -_row_c1(ev, i, mode), 0j, k)[k]
+        total += ev.prefactor[i] * val
+    return float((ev.norm * math.factorial(k) * total).real)
 
 
-_KINDS = {"even": ca.CatSpec.even, "odd": ca.CatSpec.odd, "yss": ca.CatSpec.yurke_stoler}
 _LOSSES = {"lossless": (0.0, 0.0), "damped": (0.6, 0.6), "asymmetric": (0.2, 1.1)}
 
 
@@ -418,11 +403,11 @@ def sweep_systems():
     """Every cat-kind pair under each loss setting, fixed-seed amplitudes and times."""
     rng = np.random.default_rng(4)
     for (k1, k2), (loss, (g1, g2)) in itertools.product(
-            itertools.product(_KINDS, repeat=2), _LOSSES.items()):
+            itertools.product(CAT_MAKERS, repeat=2), _LOSSES.items()):
         params = ca.AmplifierParams(g=1.0, pump_phase=float(rng.uniform(0, 6.3)),
                                     gamma1=g1, gamma2=g2, nbar1=0.3 * (g1 > 0), nbar2=0.2)
-        system = ca.System(_KINDS[k1](float(rng.uniform(0.3, 3.0)), float(rng.uniform(0, 6.3))),
-                           _KINDS[k2](float(rng.uniform(0.3, 3.0)), float(rng.uniform(0, 6.3))),
+        system = ca.System(CAT_MAKERS[k1](float(rng.uniform(0.3, 3.0)), float(rng.uniform(0, 6.3))),
+                           CAT_MAKERS[k2](float(rng.uniform(0.3, 3.0)), float(rng.uniform(0, 6.3))),
                            params)
         yield f"{k1}-{k2}-{loss}", system, float(rng.uniform(0.05, 2.2))
 
@@ -454,18 +439,16 @@ class TestPairedKernel:
 
     @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
     def test_parity_partners_share_quadratic_quantities(self, label, system, t):
-        terms, _ = ca.enumerate_terms(system.cat1, system.cat2)
-        coeffs = coeffs_at(system.params, t)
+        ev = ca.evolve_terms(system, t)
+        _, _, a_plus, a_minus = ca.generating_quantities(ev)
 
-        def bits(term):
-            gq = ca.generating_quantities(term, coeffs)
-            ab1, ab2, abp1, abp2 = evolved_amplitudes(term, coeffs)
-            values = [*dataclasses.astuple(gq), ab1 * abp1, ab2 * abp2]
+        def bits(i):
+            values = [a_plus[i], a_minus[i], _row_c1(ev, i, 1), _row_c1(ev, i, 2)]
             return np.array(values, dtype=complex).view(np.uint64).tolist()
 
         for i in range(16):
-            assert terms[15 - i].kind == terms[i].kind
-            assert bits(terms[15 - i]) == bits(terms[i])
+            assert ev.kind[15 - i] == ev.kind[i]
+            assert bits(15 - i) == bits(i)
 
 
 def test_ladder_matches_mpmath_through_renormalizations():
@@ -494,26 +477,16 @@ def test_ladder_matches_mpmath_through_renormalizations():
 # --- property-based invariants of the auto-truncated sum distribution -------------------
 
 
-_cats = st.builds(lambda kind, mag, phase: _KINDS[kind](mag, phase),
-                  st.sampled_from(sorted(_KINDS)), st.floats(0.3, 2.0), st.floats(0.0, 6.28))
-_params = st.builds(ca.AmplifierParams, g=st.floats(0.1, 1.5), pump_phase=st.floats(0.0, 6.28),
-                    gamma1=st.floats(0.0, 2.0), gamma2=st.floats(0.0, 2.0),
-                    nbar1=st.floats(0.0, 1.0), nbar2=st.floats(0.0, 1.0))
-
-
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(cat1=_cats, cat2=_cats, params=_params, t=st.floats(0.0, 1.0))
+@given(cat1=cats, cat2=cats, params=amplifiers, t=st.floats(0.0, 1.0))
 def test_sum_pnd_invariants(cat1, cat2, params, t):
     system = ca.System(cat1, cat2, params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ca.NearSingularDenominator)
         dist = ca.sum_pnd(system, t)
         expect = (ca.moment(1, 1, 0, 0, system, t) + ca.moment(0, 0, 1, 1, system, t)).real
-        swapped = ca.System(cat2, cat1, dataclasses.replace(
-            params, gamma1=params.gamma2, gamma2=params.gamma1,
-            nbar1=params.nbar2, nbar2=params.nbar1))
         marginals = [ca.single_pnd(mode, system, t) for mode in (1, 2)]
-        swapped_marginals = [ca.single_pnd(mode, swapped, t, n_max=m.n_max)
+        swapped_marginals = [ca.single_pnd(mode, swap_modes(system), t, n_max=m.n_max)
                              for mode, m in zip((2, 1), marginals)]
     assert abs(dist.total - 1.0) <= 1e-8
     assert dist.probs.min() >= -1e-12 * dist.probs.max()
@@ -524,3 +497,46 @@ def test_sum_pnd_invariants(cat1, cat2, params, t):
     assert -1e-8 * max(1.0, expect) <= deficit <= 1e-8 * max(1.0, expect) + tail_moment
     for mine, theirs in zip(marginals, swapped_marginals):
         assert np.max(np.abs(mine.probs - theirs.probs)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(cat1=cats, cat2=cats, params=amplifiers, t=st.floats(0.0, 1.0))
+@example(cat1=ca.CatSpec.even(2.0), cat2=ca.CatSpec.yurke_stoler(1.5, 0.4),
+         params=ca.AmplifierParams(g=1.5, pump_phase=1.2, gamma1=0.2, gamma2=1.9,
+                                   nbar1=1.0, nbar2=0.3), t=1.0)
+def test_distribution_factorial_moments_match(cat1, cat2, params, t):
+    # sum_pnd's P(n) and the closed-form <W^k> share only the evolved record;
+    # the truncated tail holds at most (2 (n_max + 1))^k times its mass of n^(k)
+    system = ca.System(cat1, cat2, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ca.NearSingularDenominator)
+        dist = ca.sum_pnd(system, t)
+        moments = [ca.factorial_moments(system, t, k)[0] for k in (1, 2, 3)]
+    n = np.arange(dist.n_max + 1, dtype=float)
+    tail = max(0.0, 1.0 - dist.total)
+    falling = np.ones_like(n)
+    for k, wk in zip((1, 2, 3), moments):
+        falling *= n - (k - 1)
+        deficit = wk - float(np.dot(falling, dist.probs))
+        tolerance = 1e-10 * max(1.0, wk)
+        assert -tolerance <= deficit <= tolerance + (2.0 * (dist.n_max + 1)) ** k * tail
+
+
+def cat_distribution(cat, n_max):
+    """P(n) of the cat itself: N^2 e^{-|a|^2} |a|^{2n} / n! |1 + e^{i phi} (-1)^n|^2."""
+    n = np.arange(n_max + 1)
+    poisson = np.exp(-cat.amp_mag**2 + 2 * n * np.log(cat.amp_mag)
+                     - np.array([math.lgamma(k + 1) for k in n]))
+    return ca.normalization(cat) * poisson * np.abs(1 + np.exp(1j * cat.rel_phase) * (-1.0) ** n) ** 2
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(cat1=cats, cat2=cats, params=amplifiers)
+@example(cat1=ca.CatSpec.odd(0.3), cat2=ca.CatSpec.yurke_stoler(2.0, 3.0),
+         params=ca.AmplifierParams(g=1.0))
+def test_single_pnd_at_t0_is_the_input_cat(cat1, cat2, params):
+    system = ca.System(cat1, cat2, params)
+    for mode, cat in ((1, cat1), (2, cat2)):
+        dist = ca.single_pnd(mode, system, 0.0, n_max=40)
+        expect = cat_distribution(cat, 40)
+        assert np.max(np.abs(dist.probs - expect)) <= 1e-13 * np.max(expect)

@@ -8,11 +8,10 @@ import catamp as ca
 from catamp import oracle
 
 
-def _key(term):
-    return (
-        complex(np.round(term.a1_ket, 12)), complex(np.round(term.a1_bra, 12)),
-        complex(np.round(term.a2_ket, 12)), complex(np.round(term.a2_bra, 12)),
-    )
+def _rows(table):
+    """(a1_ket, a1_bra, a2_ket, a2_bra, weight) of each row, rounded for set keys."""
+    cols = (table.a1_ket, table.a1_bra, table.a2_ket, table.a2_bra, table.weight)
+    return [tuple(complex(v) for v in row) for row in np.round(np.array(cols), 12).T]
 
 
 class TestEnumeration:
@@ -21,54 +20,59 @@ class TestEnumeration:
 
         for _ in range(8):
             c1, c2 = random_cat(rng), random_cat(rng)
-            terms, _ = ca.enumerate_terms(c1, c2)
-            assert len(terms) == 16
-            counts = {kind: 0 for kind in ca.TermClass}
-            for term in terms:
-                counts[term.kind] += 1
-                assert abs(abs(term.weight) - 1.0) < 1e-14
+            table, _ = ca.enumerate_terms(c1, c2)
+            assert len(table.kind) == 16
+            for col in (table.a1_ket, table.a1_bra, table.a2_ket, table.a2_bra,
+                        table.weight, table.prefactor):
+                assert col.shape == (16,)
+            counts = {kind: table.kind.count(kind) for kind in ca.TermClass}
+            assert np.all(np.abs(np.abs(table.weight) - 1.0) < 1e-14)
             assert counts[ca.TermClass.MIXTURE] == 4
             assert counts[ca.TermClass.SYM_INTERFERENCE] == 4
             assert counts[ca.TermClass.ASYM_INTERFERENCE] == 8
 
     def test_even_even_weights_are_one(self):
-        terms, _ = ca.enumerate_terms(ca.CatSpec.even(1.0), ca.CatSpec.even(2.0))
-        for term in terms:
-            assert term.weight == pytest.approx(1.0)
+        table, _ = ca.enumerate_terms(ca.CatSpec.even(1.0), ca.CatSpec.even(2.0))
+        for weight in table.weight:
+            assert weight == pytest.approx(1.0)
 
     def test_odd_even_weight_pattern(self):
-        terms, _ = ca.enumerate_terms(ca.CatSpec.odd(1.0), ca.CatSpec.even(2.0))
-        for term in terms:
-            if term.kind is ca.TermClass.MIXTURE:
-                assert term.weight == pytest.approx(1.0)
-            elif term.kind is ca.TermClass.SYM_INTERFERENCE:
-                assert term.weight.real == pytest.approx(-1.0, abs=1e-12)
+        table, _ = ca.enumerate_terms(ca.CatSpec.odd(1.0), ca.CatSpec.even(2.0))
+        for kind, weight, k1, b1 in zip(table.kind, table.weight, table.a1_ket, table.a1_bra):
+            if kind is ca.TermClass.MIXTURE:
+                assert weight == pytest.approx(1.0)
+            elif kind is ca.TermClass.SYM_INTERFERENCE:
+                assert weight.real == pytest.approx(-1.0, abs=1e-12)
             else:
                 # mode-1 off-diagonal carry e^{+-i pi} = -1; mode-2 ones carry 1
-                off1 = term.a1_ket != term.a1_bra
-                expect = -1.0 if off1 else 1.0
-                assert term.weight.real == pytest.approx(expect, abs=1e-12)
+                expect = -1.0 if k1 != b1 else 1.0
+                assert weight.real == pytest.approx(expect, abs=1e-12)
 
     def test_hermiticity_closure(self, rng):
         from conftest import random_cat
 
         for _ in range(6):
-            terms, _ = ca.enumerate_terms(random_cat(rng), random_cat(rng))
-            keys = {(_key(t), complex(np.round(t.weight, 12))) for t in terms}
-            for t in terms:
-                partner = (
-                    (complex(np.round(t.a1_bra, 12)), complex(np.round(t.a1_ket, 12)),
-                     complex(np.round(t.a2_bra, 12)), complex(np.round(t.a2_ket, 12))),
-                    complex(np.round(t.weight.conjugate(), 12)),
-                )
-                assert partner in keys
+            table, _ = ca.enumerate_terms(random_cat(rng), random_cat(rng))
+            rows = _rows(table)
+            keys = set(rows)
+            for k1, b1, k2, b2, w in rows:
+                assert (b1, k1, b2, k2, w.conjugate()) in keys
+
+    def test_parity_partner_is_row_15_minus_i(self, rng):
+        from conftest import random_cat
+
+        for _ in range(6):
+            table, _ = ca.enumerate_terms(random_cat(rng), random_cat(rng))
+            for col in (table.a1_ket, table.a1_bra, table.a2_ket, table.a2_bra):
+                assert np.array_equal(col[::-1], -col)
+            assert table.kind[::-1] == table.kind
+            assert np.allclose(table.weight[::-1], np.conj(table.weight), rtol=0, atol=1e-15)
 
     def test_canonical_ordering(self):
-        terms, _ = ca.enumerate_terms(ca.CatSpec.even(1.0), ca.CatSpec.even(2.0))
+        table, _ = ca.enumerate_terms(ca.CatSpec.even(1.0), ca.CatSpec.even(2.0))
         signs = [
-            (np.sign(t.a1_ket.real), np.sign(t.a1_bra.real),
-             np.sign(t.a2_ket.real), np.sign(t.a2_bra.real))
-            for t in terms
+            (np.sign(k1.real), np.sign(b1.real), np.sign(k2.real), np.sign(b2.real))
+            for k1, b1, k2, b2 in zip(table.a1_ket, table.a1_bra, table.a2_ket, table.a2_bra)
         ]
         expected = [
             (s1k, s1b, s2k, s2b)
@@ -81,8 +85,13 @@ class TestEnumeration:
 
         for _ in range(10):
             c1, c2 = random_cat(rng), random_cat(rng)
-            terms, norm = ca.enumerate_terms(c1, c2)
-            trace = norm * sum(t.prefactor() for t in terms)
+            table, norm = ca.enumerate_terms(c1, c2)
+            # each prefactor is the row's weight times both coherent overlaps
+            for k1, b1, k2, b2, w, pref in zip(table.a1_ket, table.a1_bra, table.a2_ket,
+                                               table.a2_bra, table.weight, table.prefactor):
+                expect = w * ca.coherent_overlap(b1, k1) * ca.coherent_overlap(b2, k2)
+                assert pref == pytest.approx(expect, rel=1e-14, abs=1e-300)
+            trace = norm * sum(table.prefactor.tolist())
             assert trace.real == pytest.approx(1.0, abs=1e-12)
             assert abs(trace.imag) < 1e-12
 
@@ -99,15 +108,14 @@ class TestFockReconstruction:
         for mags in ((3.0, 2.0), (1.2, 2.8)):
             c1 = ca.CatSpec.even(mags[0], 0.3)
             c2 = ca.CatSpec.yurke_stoler(mags[1], 1.2)
-            terms, norm = ca.enumerate_terms(c1, c2)
+            table, norm = ca.enumerate_terms(c1, c2)
             rho_direct = oracle.build_initial(c1, c2, dim, dim).rho
             rho_terms = np.zeros_like(rho_direct)
-            for t in terms:
-                k = np.kron(oracle._coherent_vec(t.a1_ket, dim),
-                            oracle._coherent_vec(t.a2_ket, dim))
-                b = np.kron(oracle._coherent_vec(t.a1_bra, dim),
-                            oracle._coherent_vec(t.a2_bra, dim))
-                rho_terms += t.weight * np.outer(k, b.conj())
+            for k1, b1, k2, b2, w in zip(table.a1_ket, table.a1_bra, table.a2_ket,
+                                         table.a2_bra, table.weight):
+                k = np.kron(oracle._coherent_vec(k1, dim), oracle._coherent_vec(k2, dim))
+                b = np.kron(oracle._coherent_vec(b1, dim), oracle._coherent_vec(b2, dim))
+                rho_terms += w * np.outer(k, b.conj())
             rho_terms *= norm
             assert np.max(np.abs(rho_terms - rho_direct)) < 1e-12
             assert abs(np.trace(rho_terms).real - 1.0) < 1e-10

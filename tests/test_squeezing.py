@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import catamp as ca
@@ -10,7 +11,7 @@ from catamp import oracle
 from catamp.coeffs import NearSingularDenominator
 from catamp.squeezing import _f_even, _f_odd
 
-from conftest import make_system, random_cat
+from conftest import amplifiers, cats, make_system, random_cat, swap_modes
 
 
 class TestSingleMode:
@@ -265,3 +266,23 @@ class TestDegradation:
             q_cold = ca.q_factor_even_even(a1, math.sqrt(float(x2)), cold, 0.2)
             q_hot = ca.q_factor_even_even(a1, math.sqrt(float(x2)), hot, 0.2)
             assert q_hot >= q_cold - 1e-14
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cat1=cats, cat2=cats, params=amplifiers, t=st.floats(0.0, 1.0))
+@example(cat1=ca.CatSpec.even(1.5), cat2=ca.CatSpec.odd(0.8, 2.0),
+         params=ca.AmplifierParams(g=0.7, pump_phase=0.3, gamma1=1.4, gamma2=0.1,
+                                   nbar1=0.0, nbar2=0.9), t=0.8)
+def test_mode_swap_symmetry(cat1, cat2, params, t):
+    # exchanging the cats together with their losses and reservoirs leaves the
+    # compound factors alone and exchanges the single-mode ones
+    system = ca.System(cat1, cat2, params)
+    swapped = swap_modes(system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularDenominator)
+        pairs = [(ca.two_mode_squeezing(system, t), ca.two_mode_squeezing(swapped, t)),
+                 (ca.single_mode_squeezing(1, system, t), ca.single_mode_squeezing(2, swapped, t)),
+                 (ca.single_mode_squeezing(2, system, t), ca.single_mode_squeezing(1, swapped, t))]
+    for mine, theirs in pairs:
+        for a, b in ((mine.S, theirs.S), (mine.Q, theirs.Q)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))

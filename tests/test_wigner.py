@@ -10,14 +10,20 @@ from catamp.wigner import GridSpec, SupportWarning
 from conftest import make_system, random_cat
 
 
+def wigner_at(system, z, mode=1):
+    """Wigner value at one phase-space point: a one-point cut through it."""
+    _, w = ca.wigner_cut(system, 0.0, y=z.imag, x=np.array([z.real]), mode=mode)
+    return float(w[0])
+
+
 class TestPointValues:
     def test_vacuum_peak(self):
         system = make_system("even", 0.0, "even", 0.0)
-        assert ca.wigner_point(system, 0.0, 0j) == pytest.approx(2.0 / math.pi)
+        assert wigner_at(system, 0j) == pytest.approx(2.0 / math.pi)
 
     def test_odd_cat_negative_at_origin(self):
         system = make_system("odd", 1.0, "even", 0.5)
-        w0 = ca.wigner_point(system, 0.0, 0j)
+        w0 = wigner_at(system, 0j)
         assert w0 < 0.0
         # displaced-parity reference
         state = oracle.build_initial(system.cat1, system.cat2, 25, 20)
@@ -25,7 +31,7 @@ class TestPointValues:
 
     def test_even_cat_positive_at_origin(self):
         system = make_system("even", 1.0, "even", 0.5)
-        w0 = ca.wigner_point(system, 0.0, 0j)
+        w0 = wigner_at(system, 0j)
         assert w0 > 0.0
         state = oracle.build_initial(system.cat1, system.cat2, 25, 20)
         assert w0 == pytest.approx(oracle.wigner(state, 0j), abs=1e-10)
@@ -42,11 +48,11 @@ class TestPointValues:
                 + np.exp(-2 * ((x + mag) ** 2 + p**2))
                 + 2.0 * np.exp(-2 * (x**2 + p**2)) * np.cos(4.0 * mag * p)
             )
-            assert ca.wigner_point(system, 0.0, z) == pytest.approx(expect, abs=1e-12)
+            assert wigner_at(system, z) == pytest.approx(expect, abs=1e-12)
 
     def test_idler_mode(self):
         system = make_system("even", 0.6, "odd", 1.0)
-        w0 = ca.wigner_point(system, 0.0, 0j, mode=2)
+        w0 = wigner_at(system, 0j, mode=2)
         assert w0 < 0.0
 
 
