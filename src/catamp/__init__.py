@@ -45,7 +45,6 @@ from .photon_stats import (
     TruncationWarning,
     factorial_moments,
     generating_quantities,
-    laguerre,
     single_pnd,
     sum_pnd,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "evolve_terms",
     "factorial_moments",
     "generating_quantities",
-    "laguerre",
     "moment",
     "noise_coeffs",
     "normalization",

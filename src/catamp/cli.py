@@ -219,18 +219,22 @@ def _sidecar_path(out: str) -> str:
 
 
 def _emit(out: str, fmt: str, header: list[str], columns: list, meta: dict) -> list[str]:
+    """Write the dataset; an unwritable path is a ConfigError naming out."""
     columns = [np.asarray(c) for c in columns]
-    if fmt == "csv":
-        write_csv(out, header, columns)
-        side = _sidecar_path(out)
-        write_json(side, meta)
-        return [out, side]
-    payload = dict(meta)
-    payload["data"] = {
-        h: [v if isinstance(v, str) else float(v) for v in c]
-        for h, c in zip(header, columns)
-    }
-    write_json(out, payload)
+    try:
+        if fmt == "csv":
+            write_csv(out, header, columns)
+            side = _sidecar_path(out)
+            write_json(side, meta)
+            return [out, side]
+        payload = dict(meta)
+        payload["data"] = {
+            h: [v if isinstance(v, str) else float(v) for v in c]
+            for h, c in zip(header, columns)
+        }
+        write_json(out, payload)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from None
     return [out]
 
 

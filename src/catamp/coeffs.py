@@ -40,8 +40,7 @@ class EvolvedCoeffs:
 
     f1, f3 are real amplitude-propagation coefficients, f2 the complex
     cross-mode one.  B1N, B2N >= 0 are the accumulated noise photon numbers,
-    D the anomalous signal-idler correlation.  E, E1, F, G are the auxiliary
-    envelope integrals, eps the drift discriminant.
+    D the anomalous signal-idler correlation.
     """
 
     f1: float
@@ -50,11 +49,6 @@ class EvolvedCoeffs:
     B1N: float
     B2N: float
     D: complex
-    E: float
-    E1: float
-    F: float
-    G: float
-    eps: float
 
 
 def _sinhc(x: float) -> float:
@@ -198,10 +192,7 @@ def coeffs_at(params: AmplifierParams, t: float) -> EvolvedCoeffs:
         raise ValueError(f"t must be finite, got {t}")
     f1, f2, f3 = dyn_coeffs(params, t)
     b1, b2, d = noise_coeffs(params, t)
-    eps = params.eps
-    E, E1, F, G = _envelopes(params.gamma1 + params.gamma2, math.sqrt(eps), t)
-    return EvolvedCoeffs(f1=f1, f2=f2, f3=f3, B1N=b1, B2N=b2, D=d,
-                         E=E, E1=E1, F=F, G=G, eps=eps)
+    return EvolvedCoeffs(f1=f1, f2=f2, f3=f3, B1N=b1, B2N=b2, D=d)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from .params import AmplifierParams, CatSpec, System, normalization
+from .params import AmplifierParams, CatSpec, normalization
 
 
 class DimTooSmall(ValueError):
@@ -307,8 +307,3 @@ def observables(state: FockState) -> dict:
         "w1": factorial_moment(state, 1),
         "w2": factorial_moment(state, 2),
     }
-
-
-def build_system_state(system: System, dim1: int, dim2: int) -> FockState:
-    """Convenience: initial state of a System configuration."""
-    return build_initial(system.cat1, system.cat2, dim1, dim2)

@@ -1,21 +1,25 @@
 """Photon-number distributions and reduced factorial moments.
 
-Every term of the state contributes a two-fold Laguerre series built from two
-effective "thermal + coherent" channels with thermal weights lambda_+/- and
-coherent weights A_+/-.  Laguerre polynomials are used in the standard
-convention (L_0 = 1, L_1 = 1 - x, three-term recurrence); the factorials that
-a convention carrying an extra n! would need are folded into the series
-prefactors so that distributions are normalized and match the Fock-space
-reference.  The ladder x^m * L_m(y) * e^c is evaluated by a renormalized
-recurrence in the variables (x, x*y, c), which is regular at the t = 0 point
-where the thermal weights vanish and safe against overflow at large gain.
+Every term (row) of the state has a closed-form photon-number generating
+function, built from two effective "thermal + coherent" channels with thermal
+weights lambda_+/- and coherent weights A_+/- (generating_quantities):
+
+    G_i(s) = prod_+/- exp(A_i u / (1 + lambda u)) / (1 + lambda u),  u = 1 - s,
+
+and P(n) = N1^2 N2^2 Re sum_i p_i [s^n] G_i(s).  One mode alone has a single
+channel, lambda = B_jN and A = -abar_j abar_j'.  The distributions read every
+coefficient n <= n_max at once from samples of G on the roots of unity, one
+inverse FFT per class.  The factorial moments <W^k>, the k-th derivatives of
+G at s = 1, are products of Laguerre ladders lambda^m L_m(A / lambda) in the
+standard convention (L_0 = 1, L_1 = 1 - x), whose factorials are folded into
+the series so that distributions are normalized and match the Fock-space
+reference.
 
 Each distribution and factorial moment evolves the term table once
-(coeffs.evolve_terms) and reads that record.  Row 15 - i is row i with every amplitude negated: same
-class, bit-identical quadratic quantities (A_+/-, single-mode c1).  So the
-ladders run over rows 0..7 only, each weighted by the paired prefactor of rows
-i and 15 - i, and the two channel ladders of the sum distribution are
-convolved by numpy.fft at a 5-smooth length.
+(coeffs.evolve_terms) and reads that record.  Row 15 - i is row i with every
+amplitude negated: same class, bit-identical quadratic quantities (A_+/-,
+single-mode c1).  So only rows 0..7 are evaluated, each weighted by the
+paired prefactor of rows i and 15 - i.
 """
 
 from __future__ import annotations
@@ -59,23 +63,6 @@ class Distribution:
         return float(np.dot(np.arange(self.n_max + 1), self.probs))
 
 
-def laguerre(n: int, x):
-    """Standard Laguerre polynomial L_n(x) (scalar or array, real or complex).
-
-    Three-term recurrence; supports orders well past 512.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    x = np.asarray(x)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else prev[()]
-    cur = 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur if cur.ndim else cur[()]
-
-
 def generating_quantities(ev: EvolvedTerms) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Thermal weights lambda_+/- and the rows' coherent weights A_+/-.
 
@@ -102,53 +89,32 @@ def generating_quantities(ev: EvolvedTerms) -> tuple[float, float, np.ndarray, n
     return lam_p, lam_m, -numer(lam_p) / disc, numer(lam_m) / disc
 
 
-# renormalization band of the ladder's running pair, and the log of its step
-_SMALL, _BIG = 1e-100, 1e100
-_LN_1E200 = 200.0 * math.log(10.0)
+def _real_coefficients(lams, rows, n_max: int) -> dict:
+    """Re [s^n] of each class's generating function, n = 0..n_max.
 
-
-def _ladder(x: complex, xy: complex, c: complex, n: int) -> np.ndarray:
-    """Values e^c * x^m * L_m(xy / x) for m = 0..n, by renormalized recurrence.
-
-    Written in terms of (x, xy) the recurrence is polynomial, hence regular at
-    x = 0.  A floating shift keeps the running pair inside float range; the
-    shift is folded back per order, so genuinely tiny values underflow to 0
-    and genuinely huge intermediate magnitudes survive.
+    A row (kind, p, A) stands for p * prod_j exp(A_j w_j) / (1 + lam_j u) with
+    u = 1 - s and w_j = u / (1 + lam_j u), one factor per thermal channel j.
+    Each row enters as (p G + conj(p) Gbar) / 2, Gbar carrying the conjugated
+    A_j, whose coefficients are the real parts of p G's.  A class's samples on
+    s = e^{-2 pi i k / N} are then Hermitian in k, so the half circle
+    k = 0..N/2 holds them all and one irfft returns the coefficients.  With
+    N = 2 (n_max + 1) the aliased terms P(n + N), ... lie beyond twice the
+    truncation, far below the tail target.
     """
-    shift = c.real
-    prev = complex(math.cos(c.imag), math.sin(c.imag))  # e^{i Im c}
-    cur = x * prev - xy * prev
-    vals = np.empty(n + 1, dtype=complex)
-    vals[:2] = (prev, cur)[: n + 1]
-    marks = [(0, shift)]  # (first order, shift) at each renormalization
-    in_band = False  # |cur| is known to lie in [_SMALL, _BIG]
-    for m in range(1, n):
-        nxt = ((x * (2 * m + 1) - xy) * cur - m * x * x * prev) / (m + 1)
-        if not (in_band and _SMALL <= abs(nxt) <= _BIG):
-            mag = max(abs(nxt), abs(cur))
-            if mag > _BIG or 0.0 < mag < _SMALL:
-                scale, step = (1e-200, _LN_1E200) if mag > _BIG else (1e200, -_LN_1E200)
-                nxt, cur, shift = nxt * scale, cur * scale, shift + step
-                marks.append((m + 1, shift))
-            in_band = _SMALL <= abs(nxt) <= _BIG
-        prev, cur = cur, nxt
-        vals[m + 1] = cur
-    starts, values = zip(*marks)
-    shifts = np.repeat(values, np.diff([*starts, n + 1]))
-    with np.errstate(over="ignore", under="ignore"):
-        vals *= np.exp(shifts, out=shifts)
-    return vals
-
-
-def _fft_size(n: int) -> int:
-    """Smallest 5-smooth integer >= n, a fast numpy.fft length."""
-    best, p5 = 2 * n, 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:  # p35 * 2^a for the least a reaching n
-            best, p35 = min(best, p35 << ((n - 1) // p35).bit_length()), p35 * 3
-        p5 *= 5
-    return best
+    size = 2 * (n_max + 1)
+    u = -np.expm1(np.arange(size // 2 + 1) * (-2j * math.pi / size))  # accurate near s = 1
+    ws, base = [], 0.5  # the 1/2 of the symmetrized rows
+    for lam in lams:
+        den = 1.0 + lam * u
+        ws.append(u / den)
+        base = base / den
+    sums = {}
+    for kind, pref, amps in rows:
+        acc = sums.setdefault(kind, np.zeros_like(u))
+        for p, a in ((pref, amps), (pref.conjugate(), [x.conjugate() for x in amps])):
+            z = sum(aj * w for aj, w in zip(a, ws))
+            acc += p * np.exp(z, out=z)
+    return {kind: np.fft.irfft(acc * base, size)[: n_max + 1] for kind, acc in sums.items()}
 
 
 def _paired_prefactors(ev: EvolvedTerms) -> list[complex]:
@@ -196,22 +162,13 @@ def sum_pnd(system: System, t: float, n_max: int | None = None) -> Distribution:
     """
     ev = evolve_terms(system, t)
     lam_p, lam_m, a_plus, a_minus = generating_quantities(ev)
-    den_p, den_m = 1.0 + lam_p, 1.0 + lam_m
-    rows = list(zip(ev.kind[:8], _paired_prefactors(ev), a_plus[:8].tolist(),
-                    a_minus[:8].tolist()))
+    rows = list(zip(ev.kind[:8], _paired_prefactors(ev), zip(a_plus[:8].tolist(),
+                                                            a_minus[:8].tolist())))
 
     def compute(nm):
-        size = _fft_size(2 * nm + 1)
-        spec_u, spec_v = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        parts = {kind: np.zeros(nm + 1) for kind in TermClass}
-        for kind, pref, ap, am in rows:
-            np.fft.fft(_ladder(lam_p / den_p, ap / den_p**2, ap / den_p, nm), size, out=spec_u)
-            np.fft.fft(_ladder(lam_m / den_m, am / den_m**2, am / den_m, nm), size, out=spec_v)
-            spec_u *= spec_v
-            spec_u *= pref / (den_p * den_m)
-            parts[kind] += np.fft.ifft(spec_u, out=spec_u)[: nm + 1].real
-        real_parts = {kind: ev.norm * arr for kind, arr in parts.items()}
-        return sum(real_parts.values()), real_parts
+        coeffs = _real_coefficients((lam_p, lam_m), rows, nm)
+        parts = {kind: ev.norm * coeffs[kind] for kind in TermClass}
+        return sum(parts.values()), parts
 
     probs, real_parts, n_max = _with_auto_tail(n_max, lambda: _auto_n_max(ev, None), compute)
     return Distribution(probs=probs, n_max=n_max, class_parts=real_parts)
@@ -223,14 +180,11 @@ def single_pnd(mode: int, system: System, t: float, n_max: int | None = None) ->
         raise ValueError("mode must be 1 or 2")
     ev = evolve_terms(system, t)
     b, abar, abarp = ev.mode(mode)
-    den = 1.0 + b
-    rows = list(zip(_paired_prefactors(ev), (abar[:8] * abarp[:8]).tolist()))
+    rows = [(None, pref, (-c1,)) for pref, c1 in zip(_paired_prefactors(ev),
+                                                      (abar[:8] * abarp[:8]).tolist())]
 
     def compute(nm):
-        acc = np.zeros(nm + 1, dtype=complex)
-        for pref, c1 in rows:
-            acc += (pref / den) * _ladder(b / den, -c1 / den**2, -c1 / den, nm)
-        return ev.norm * acc.real, None
+        return ev.norm * _real_coefficients((b,), rows, nm)[None], None
 
     probs, _, n_max = _with_auto_tail(n_max, lambda: _auto_n_max(ev, mode), compute)
     return Distribution(probs=probs, n_max=n_max)
@@ -271,19 +225,29 @@ def factorial_moments(
     return wk, wk / w1**k - 1.0
 
 
+def _ladders(lam: float, amps: np.ndarray, k: int) -> np.ndarray:
+    """lam^m L_m(A / lam) for m = 0..k, one row per A in amps: the coefficients of
+    exp(-A v / (1 - lam v)) / (1 - lam v) in v, by the plain Laguerre recurrence."""
+    out = np.empty((len(amps), k + 1), dtype=complex)
+    out[:, 0] = 1.0
+    if k:
+        out[:, 1] = lam - amps
+    for m in range(1, k):
+        out[:, m + 1] = ((lam * (2 * m + 1) - amps) * out[:, m]
+                         - m * lam * lam * out[:, m - 1]) / (m + 1)
+    return out
+
+
 def _factorial_moment(ev: EvolvedTerms, k: int, mode: int | None) -> float:
-    """<W^k> of the sum n1 + n2 (mode None) or of one mode, from the record."""
-    kfac = math.factorial(k)
+    """<W^k> of the sum n1 + n2 (mode None) or of one mode, from the record:
+    k! [v^k] of the generating function at s = 1 + v."""
     if mode is None:
         lam_p, lam_m, a_plus, a_minus = generating_quantities(ev)
-        vals = [kfac * np.dot(_ladder(complex(lam_m), am, 0j, k)[::-1],
-                              _ladder(complex(lam_p), ap, 0j, k))
-                for ap, am in zip(a_plus[:8].tolist(), a_minus[:8].tolist())]
+        vals = np.sum(_ladders(lam_p, a_plus[:8], k) * _ladders(lam_m, a_minus[:8], k)[:, ::-1],
+                      axis=1)
     else:
         b, abar, abarp = ev.mode(mode)
-        vals = [kfac * _ladder(complex(b), -c1, 0j, k)[k]
-                for c1 in (abar[:8] * abarp[:8]).tolist()]
-    total = 0j
-    for pref, val in zip(_paired_prefactors(ev), vals):
-        total += pref * val
-    return float((ev.norm * total).real)
+        vals = _ladders(b, -abar[:8] * abarp[:8], k)[:, k]
+    total = np.dot(_paired_prefactors(ev), vals)
+    # k! last: past float range the moment is inf, not an inf - inf NaN
+    return float((ev.norm * total).real) * math.factorial(k)

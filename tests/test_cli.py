@@ -215,6 +215,16 @@ class TestBadValues:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        assert main(["figure", "8a", "--out", str(out)]) == 2
+        assert "error: out: " in capsys.readouterr().err
+        cfg = write_config(tmp_path, {"out": str(out), "n_max": 10})
+        assert main(["pnd", "--config", cfg]) == 2
+        assert "error: out: " in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_pnd_command(self, tmp_path):
         cfg = write_config(tmp_path, {"out": str(tmp_path / "pnd.csv"), "n_max": 40})

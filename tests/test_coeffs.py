@@ -203,8 +203,7 @@ class TestCoeffsRecord:
     def test_record_fields(self):
         p = ca.AmplifierParams(g=1.0, gamma1=0.4, gamma2=0.4, nbar1=0.2, nbar2=0.2)
         c = ca.coeffs_at(p, 0.0)
-        assert (c.E, c.E1, c.F, c.G) == (0.0, 0.0, 0.0, 0.0)
-        assert c.eps == pytest.approx(16.0)
+        assert (c.f1, c.f2, c.f3, c.B1N, c.B2N, c.D) == (1.0, 0j, 1.0, 0.0, 0.0, 0j)
         c2 = ca.coeffs_at(p, 0.5)
         assert c2.B1N > 0.0 and c2.B2N > 0.0
 

@@ -10,35 +10,79 @@ from scipy.special import eval_laguerre
 
 import catamp as ca
 from catamp import oracle
-from catamp.photon_stats import TruncationWarning, _ladder
+from catamp.photon_stats import TruncationWarning, _ladders
 
 from conftest import CAT_MAKERS, amplifiers, cats, make_system, random_cat, swap_modes
 
 
+# renormalization band of the reference ladder's running pair, and the log of its step
+_SMALL, _BIG = 1e-100, 1e100
+_LN_1E200 = 200.0 * math.log(10.0)
+
+
+def _ladder(x: complex, xy: complex, c: complex, n: int) -> np.ndarray:
+    """Values e^c * x^m * L_m(xy / x) for m = 0..n, by renormalized recurrence.
+
+    The reference for the generating-function kernel: written in (x, xy) the
+    recurrence is regular at x = 0; a floating shift keeps the running pair
+    inside float range and is folded back per order, so genuinely tiny values
+    underflow to 0 and genuinely huge intermediate magnitudes survive.
+    """
+    shift = c.real
+    prev = complex(math.cos(c.imag), math.sin(c.imag))  # e^{i Im c}
+    cur = x * prev - xy * prev
+    vals = np.empty(n + 1, dtype=complex)
+    vals[:2] = (prev, cur)[: n + 1]
+    marks = [(0, shift)]  # (first order, shift) at each renormalization
+    for m in range(1, n):
+        nxt = ((x * (2 * m + 1) - xy) * cur - m * x * x * prev) / (m + 1)
+        mag = max(abs(nxt), abs(cur))
+        if mag > _BIG or 0.0 < mag < _SMALL:
+            scale, step = (1e-200, _LN_1E200) if mag > _BIG else (1e200, -_LN_1E200)
+            nxt, cur, shift = nxt * scale, cur * scale, shift + step
+            marks.append((m + 1, shift))
+        prev, cur = cur, nxt
+        vals[m + 1] = cur
+    starts, values = zip(*marks)
+    shifts = np.repeat(values, np.diff([*starts, n + 1]))
+    with np.errstate(over="ignore", under="ignore"):
+        vals *= np.exp(shifts, out=shifts)
+    return vals
+
+
+def laguerre(n, x):
+    """L_n(x) from the factorial-moment ladders of photon_stats at lambda = 1."""
+    x = np.asarray(x, dtype=complex)
+    return _ladders(1.0, x.ravel(), n)[:, n].reshape(x.shape)[()]
+
+
 class TestLaguerre:
+    # the one Laguerre recurrence left in src: lambda^m L_m(A / lambda) for <W^k>
     def test_low_orders(self):
-        assert ca.laguerre(0, 3.7) == 1.0
-        assert ca.laguerre(1, 3.7) == pytest.approx(1.0 - 3.7)
+        assert laguerre(0, 3.7) == 1.0
+        assert laguerre(1, 3.7) == pytest.approx(1.0 - 3.7)
         # standard convention: L_2(0) = 1 (a convention with an extra n!
         # would give 2 here; the factorials live in the series prefactors)
-        assert ca.laguerre(2, 0.0) == pytest.approx(1.0)
-        assert ca.laguerre(2, 1.5) == pytest.approx(1.0 - 2 * 1.5 + 1.5**2 / 2)
+        assert laguerre(2, 0.0) == pytest.approx(1.0)
+        assert laguerre(2, 1.5) == pytest.approx(1.0 - 2 * 1.5 + 1.5**2 / 2)
 
     @pytest.mark.parametrize("n", [3, 17, 64, 200, 512])
     def test_against_scipy(self, n, rng):
         xs = rng.uniform(-20.0, 40.0, size=8)
-        got = ca.laguerre(n, xs)
+        got = laguerre(n, xs)
         ref = eval_laguerre(n, xs)
         assert np.allclose(got, ref, rtol=1e-8, atol=1e-8)
 
     def test_complex_argument(self):
         z = 0.7 - 1.3j
         # recurrence agrees with the explicit quadratic
-        assert ca.laguerre(2, z) == pytest.approx(1.0 - 2 * z + z * z / 2)
+        assert laguerre(2, z) == pytest.approx(1.0 - 2 * z + z * z / 2)
 
     def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            ca.laguerre(-1, 0.5)
+        system = make_system("even", 1.0, "odd", 0.8)
+        for scope in ("compound", "single"):
+            with pytest.raises(ValueError):
+                ca.factorial_moments(system, 0.3, -1, scope=scope)
 
 
 class TestGeneratingQuantities:
@@ -221,8 +265,8 @@ class TestSumPnd:
                 for el in range(n + 1):
                     acc += (
                         (lm / dm) ** (n - el) * (lp / dp) ** el
-                        * ca.laguerre(n - el, a_minus[i] / (lm * dm))
-                        * ca.laguerre(el, a_plus[i] / (lp * dp))
+                        * eval_laguerre(n - el, a_minus[i] / (lm * dm))
+                        * eval_laguerre(el, a_plus[i] / (lp * dp))
                         / (math.factorial(n - el) * math.factorial(el))
                     )
                 wrong[n] += (ev.norm * pref * acc).real
@@ -449,6 +493,76 @@ class TestPairedKernel:
         for i in range(16):
             assert ev.kind[15 - i] == ev.kind[i]
             assert bits(15 - i) == bits(i)
+
+
+# --- the generating-function kernel: aliasing, a 40-digit reference, overflow ----------
+
+
+# even(2) (x) odd(1.5) at g t = 4: lambda_- is near -1/2, so one channel's pole
+# 1 + 1/lambda_- lies just outside the unit circle, and n_max is about 1e5
+STRONG = ca.System(ca.CatSpec.even(2.0), ca.CatSpec.odd(1.5),
+                   ca.AmplifierParams(g=1.0, pump_phase=0.3))
+STRONG_T = 4.0
+
+
+class TestGeneratingFunctionKernel:
+    @pytest.mark.parametrize("label, system, t", SWEEP[1::4], ids=[c[0] for c in SWEEP[1::4]])
+    def test_doubling_the_circle_changes_nothing(self, label, system, t):
+        # n_max = 2m + 1 doubles the number of roots of unity: the aliased
+        # mass P(n + N) + ... beyond the auto truncation is below 1e-15
+        m = ca.sum_pnd(system, t).n_max
+        small, large = ca.sum_pnd(system, t, n_max=m), ca.sum_pnd(system, t, n_max=2 * m + 1)
+        assert np.max(np.abs(small.probs - large.probs[: m + 1])) <= 1e-15
+        for kind in ca.TermClass:
+            assert np.max(np.abs(small.class_parts[kind]
+                                 - large.class_parts[kind][: m + 1])) <= 1e-15
+        for mode in (1, 2):
+            m = ca.single_pnd(mode, system, t).n_max
+            small = ca.single_pnd(mode, system, t, n_max=m)
+            large = ca.single_pnd(mode, system, t, n_max=2 * m + 1)
+            assert np.max(np.abs(small.probs - large.probs[: m + 1])) <= 1e-15
+
+    def test_class_parts_match_a_40_digit_convolution(self):
+        # the same lambda_+/-, A_+/- and paired prefactors, carried through
+        # 40-digit ladders and a direct convolution at a few n
+        ev = ca.evolve_terms(STRONG, STRONG_T)
+        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+        dist = ca.sum_pnd(STRONG, STRONG_T)
+        ns = (1000, 3000, 10000)
+        with mpmath.workdps(40):
+
+            def ladder(lam, a):
+                # e^{A/(1+lam)} x^m L_m(y), x = lam/(1+lam), x y = A/(1+lam)^2
+                lam, a = mpmath.mpf(lam), mpmath.mpc(a)
+                den = 1 + lam
+                x, xy = lam / den, a / den**2
+                prev, cur = mpmath.mpf(1), x - xy
+                vals = [prev, cur]
+                for m in range(1, ns[-1]):
+                    prev, cur = cur, ((x * (2 * m + 1) - xy) * cur - m * x * x * prev) / (m + 1)
+                    vals.append(cur)
+                return mpmath.exp(a / den) / den, vals
+
+            ref = {kind: [mpmath.mpf(0)] * len(ns) for kind in ca.TermClass}
+            for i in range(8):
+                pref = mpmath.mpc(ev.prefactor[i]) + mpmath.mpc(ev.prefactor[15 - i])
+                fu, u = ladder(lam_p, a_plus[i])
+                fv, v = ladder(lam_m, a_minus[i])
+                for j, n in enumerate(ns):
+                    conv = mpmath.fsum(u[k] * v[n - k] for k in range(n + 1))
+                    ref[ev.kind[i]][j] += mpmath.re(pref * fu * fv * conv) * ev.norm
+            ref = {kind: np.array([float(v) for v in vals]) for kind, vals in ref.items()}
+        for kind, vals in ref.items():
+            assert np.max(np.abs(dist.class_parts[kind][list(ns)] - vals)) <= 2e-16
+        assert np.max(np.abs(dist.probs[list(ns)] - sum(ref.values()))) <= 2e-16
+
+    def test_overflowing_factorial_moment_is_inf_not_nan(self):
+        # <W^64> of the sum exceeds float range here; the single-mode one does not
+        wk, kc = ca.factorial_moments(STRONG, STRONG_T, 64)
+        assert wk == math.inf and kc == math.inf
+        for mode in (1, 2):
+            wk, kc = ca.factorial_moments(STRONG, STRONG_T, 64, scope="single", mode=mode)
+            assert not (math.isnan(wk) or math.isnan(kc))
 
 
 def test_ladder_matches_mpmath_through_renormalizations():
