@@ -191,20 +191,16 @@ def load_config(path: str) -> RunConfig:
 # --- output writers -----------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+# printf conversion per numpy dtype kind; every other column is written as %.17g
+_CSV_CONVERSIONS = {"i": "%d", "u": "%d", "O": "%s", "U": "%s"}
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    """Write the columns as CRLF rows, each formatted by one %-format."""
+    row = ",".join(_CSV_CONVERSIONS.get(c.dtype.kind, "%.17g") for c in columns) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        for i in range(rows):
-            f.write(",".join(_fmt(col[i]) for col in columns) + "\r\n")
+        f.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
 
 
 def write_json(path: str, obj: dict) -> None:

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import catamp as ca
 from catamp import oracle
@@ -79,17 +81,91 @@ class TestEvolve:
         assert np.linalg.eigvalsh(evolved.rho).min() > -1e-10
 
     def test_step_doubling_convergence(self):
-        # halving the step leaves observables unchanged at the 1e-8 level
+        # semigroup: evolving 0.3 at once equals two 0.15 evolutions at the 1e-8 level
         params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.5, gamma2=1.5,
                                     nbar1=0.4, nbar2=0.4)
         state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.even(0.6), 16, 16)
         coarse = oracle.evolve(state, params, 0.3)
         fine = oracle.evolve(oracle.evolve(state, params, 0.15), params, 0.15)
-        # two half-interval runs use half-sized final steps; compare observables
         for getter in (lambda s: oracle.fock_moment(s, 1, 1, 0, 0).real,
                        lambda s: oracle.pnd_sum(s)[0],
                        lambda s: oracle.squeeze_factors(s)["Q"]):
             assert getter(coarse) == pytest.approx(getter(fine), abs=1e-8)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("params", [
+        ca.AmplifierParams(g=1.0, pump_phase=0.7),
+        ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5, nbar1=0.3, nbar2=0.2),
+    ], ids=["lossless", "damped"])
+    def test_non_finite_t_rejected(self, params, t):
+        state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 14, 14)
+        with pytest.raises(ValueError, match="t must be finite"):
+            oracle.evolve(state, params, t)
+
+
+def _dense_generator(params, state):
+    """Master-equation generator on row-major vec(rho), column by column."""
+    a1, a2 = oracle.mode_ops(state)
+    k = np.exp(-1j * params.pump_phase) * (a1 @ a2)
+    h = -params.g * (k + k.conj().T)
+    modes = ((a1, params.gamma1, params.nbar1), (a2, params.gamma2, params.nbar2))
+    jumps = [(gamma * (nbar + 1.0), aj) for aj, gamma, nbar in modes]
+    jumps += [(gamma * nbar, aj.conj().T) for aj, gamma, nbar in modes]
+
+    def rhs(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for rate, j in jumps:
+            jd = j.conj().T
+            out += rate * (j @ rho @ jd - 0.5 * (jd @ j @ rho + rho @ jd @ j))
+        return out
+
+    dim = state.dim1 * state.dim2
+    cols = []
+    for idx in range(dim * dim):
+        unit = np.zeros(dim * dim, dtype=complex)
+        unit[idx] = 1.0
+        cols.append(rhs(unit.reshape(dim, dim)).reshape(-1))
+    return np.array(cols).T
+
+
+class TestPropagator:
+    """evolve is exp(tL) vec(rho), checked against dense references."""
+
+    def test_lossless_matches_squeeze_unitary(self):
+        params = ca.AmplifierParams(g=1.0, pump_phase=0.7)
+        t = 0.4
+        state = oracle.build_initial(ca.CatSpec.even(0.5), ca.CatSpec.yurke_stoler(0.4), 10, 9)
+        a1, a2 = oracle.mode_ops(state)
+        k = np.exp(-1j * params.pump_phase) * (a1 @ a2)
+        u = expm(1j * params.g * t * (k + k.conj().T))
+        expect = u @ state.rho @ u.conj().T
+        got = oracle.evolve(state, params, t).rho
+        assert np.max(np.abs(got - expect)) < 1e-13
+
+    def test_damped_matches_dense_exponential(self):
+        params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
+                                    nbar1=0.3, nbar2=0.2)
+        t = 0.3
+        state = oracle.build_initial(ca.CatSpec.even(0.25), ca.CatSpec.yurke_stoler(0.15), 6, 5)
+        expect = expm(t * _dense_generator(params, state)) @ state.rho.reshape(-1)
+        got = oracle.evolve(state, params, t).rho.reshape(-1)
+        assert np.max(np.abs(got - expect)) < 1e-13
+
+    def test_bit_identical_under_any_global_rng_state(self):
+        # the 1-norm estimate inside expm_multiply draws from np.random
+        params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
+                                    nbar1=0.3, nbar2=0.2)
+        state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 12, 12)
+        saved = np.random.get_state()
+        try:
+            digests = set()
+            for seed in (0, 12345):
+                np.random.seed(seed)
+                rho = oracle.evolve(state, params, 0.3).rho
+                digests.add(hashlib.sha256(rho.tobytes()).hexdigest())
+        finally:
+            np.random.set_state(saved)
+        assert len(digests) == 1
 
 
 class TestObservables:
@@ -133,7 +209,7 @@ class TestObservables:
 
     def test_observables_bundle(self):
         state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 16, 16)
-        obs = oracle.observables(state)
-        assert obs["mean_n1"] == pytest.approx(0.64 * math.tanh(0.64), rel=1e-10)
-        assert obs["pnd_sum"].sum() == pytest.approx(1.0, abs=1e-12)
-        assert set(obs["squeeze"]) == {"S1", "Q1", "S2", "Q2", "S", "Q"}
+        mean_n1 = oracle.fock_moment(state, 1, 1, 0, 0).real
+        assert mean_n1 == pytest.approx(0.64 * math.tanh(0.64), rel=1e-10)
+        assert oracle.pnd_sum(state).sum() == pytest.approx(1.0, abs=1e-12)
+        assert set(oracle.squeeze_factors(state)) == {"S1", "Q1", "S2", "Q2", "S", "Q"}
