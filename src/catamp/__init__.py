@@ -16,7 +16,6 @@ from .params import (
 )
 from .coeffs import (
     EvolvedCoeffs,
-    NearSingularDenominator,
     coeffs_at,
     dyn_coeffs,
     evolve_terms,
@@ -70,7 +69,6 @@ __all__ = [
     "EvolvedCoeffs",
     "GridSpec",
     "MAX_MOMENT_ORDER",
-    "NearSingularDenominator",
     "OrderTooHigh",
     "PhaseGrid",
     "Regime",

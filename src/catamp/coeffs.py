@@ -2,10 +2,10 @@
 
 The Heisenberg-Langevin solution propagates the two mode operators with three
 amplitude coefficients f1, f2, f3 and accumulates Gaussian noise described by
-two variances B1N, B2N and one anomalous cross-correlation D.  Everything is
-evaluated in the factored form decay-envelope times cosh/sinh, which stays
-stable at large gamma*t, and removable singularities (g=0 with symmetric
-losses, and the gamma1*gamma2 = 4 g^2 surface) are handled explicitly.
+two variances B1N, B2N and one anomalous cross-correlation D.  The amplitude
+coefficients are evaluated as decay envelope times cosh/sinh, and the noise
+as one integral of the drift exponential split over its two eigenprojectors,
+which has no denominator that vanishes on the gamma1*gamma2 = 4 g^2 surface.
 evolve_terms combines the coefficients with the term table of rho_terms into
 the record the observables read, once per (system, t).
 """
@@ -14,24 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import AmplifierParams, System
 from .rho_terms import TermClass, enumerate_terms
-
-
-class NearSingularDenominator(UserWarning):
-    """Parameters lie near the gamma1*gamma2 = 4 g^2 surface; noise
-    coefficients were evaluated by analytic limit / Richardson extrapolation."""
-
-
-# relative distance below which gamma1*gamma2 - 4g^2 counts as singular
-_CRITICAL_TOL = 1e-6
-# displacement used for the Richardson average in the asymmetric case
-_RICHARDSON_DELTA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,10 +47,15 @@ def _sinhc(x: float) -> float:
     return math.sinh(x) / x
 
 
+def _check_time(t: float) -> None:
+    """ValueError naming t unless it is finite and >= 0."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
 def dyn_coeffs(params: AmplifierParams, t: float) -> tuple[float, complex, float]:
     """Amplitude-propagation coefficients (f1, f2, f3) at time t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     g1, g2, g = params.gamma1, params.gamma2, params.g
     eps = params.eps
     se = math.sqrt(eps)
@@ -75,121 +68,55 @@ def dyn_coeffs(params: AmplifierParams, t: float) -> tuple[float, complex, float
     return f1, f2, f3
 
 
-def _envelopes(g_sum: float, se: float, t: float) -> tuple[float, float, float, float]:
-    """Auxiliary integrals (E, E1, F, G) of the noise accumulation."""
-    decay = math.exp(-g_sum * t / 2.0)
-    ch = math.cosh(se * t / 2.0)
-    sh = math.sinh(se * t / 2.0)
-    E = 1.0 - decay * ch
-    E1 = decay * (ch - 1.0)
-    F = decay * sh
-    if g_sum > 0.0:
-        G = -math.expm1(-g_sum * t / 2.0) / g_sum
-    else:
-        G = t / 2.0
-    return E, E1, F, G
-
-
-def _b1n_general(g: float, g1: float, g2: float, n1: float, n2: float, t: float) -> float:
-    """Noise variance of mode 1, general asymmetric-loss form (needs eps > 0
-    and gamma1*gamma2 != 4 g^2)."""
-    eps = (g1 - g2) ** 2 + 16.0 * g * g
-    se = math.sqrt(eps)
-    gs = g1 + g2
-    E, E1, F, G = _envelopes(gs, se, t)
-    den = g1 * g2 - 4.0 * g * g
-    out = 8.0 * g * g * E1
-    out += (g1 * n1 / den) * ((g2 * eps - 4.0 * g * g * gs) * E
-                              - se * (g2 * (g2 - g1) + 4.0 * g * g) * F)
-    out += (4.0 * g2 * g * g * (1.0 + n2) / den) * (gs * E - se * F)
-    out -= 16.0 * g * g * G * (g2 * (1.0 + n2) - g1 * n1)
-    return out / eps
-
-
-def _d_general(g: float, phi: float, g1: float, g2: float,
-               n1: float, n2: float, t: float) -> complex:
-    """Anomalous correlation D, general asymmetric-loss form."""
-    eps = (g1 - g2) ** 2 + 16.0 * g * g
-    se = math.sqrt(eps)
-    gs = g1 + g2
-    E, E1, F, G = _envelopes(gs, se, t)
-    den = g1 * g2 - 4.0 * g * g
-    bracket = (g2 - g1) * E1 - se * F
-    bracket += (g1 * n1 / den) * ((g1 * g2 - g2 * g2 - 8.0 * g * g) * E + g2 * se * F)
-    bracket += (g2 * (1.0 + n2) / den) * ((g1 * g2 - g1 * g1 - 8.0 * g * g) * E + g1 * se * F)
-    bracket += 2.0 * G * (g1 * n1 * (g2 - g1) + g2 * (1.0 + n2) * (g1 - g2))
-    # the factor i makes D equal the anomalous moment <A1+ A2+> of the noise;
-    # verified against the Fock-space reference on damped vacuum input
-    return 1j * (2.0 * g * cmath.exp(-1j * phi) / eps) * bracket
-
-
-def _noise_symmetric(g: float, phi: float, gamma: float, n1: float, n2: float,
-                     t: float) -> tuple[float, float, complex]:
-    """Symmetric-loss noise coefficients, valid through the critical point
-    gamma = 2g (analytic limit) and at g = 0."""
-    eps = 16.0 * g * g
-    se = 4.0 * g
-    gs = 2.0 * gamma
-    E, E1, F, G = _envelopes(gs, se, t)
-    den = gamma * gamma - 4.0 * g * g
-    crit = abs(den) < _CRITICAL_TOL * (gamma * gamma + 4.0 * g * g)
-    if crit:
-        # L'Hopital limits of (gamma*E - 2g*F)/den and (gamma*F - 2g*E)/den
-        ex = -math.expm1(-4.0 * g * t)  # 1 - e^{-4gt}
-        phi_fn = ex / (8.0 * g) + t / 2.0
-        psi_fn = ex / (8.0 * g) - t / 2.0
-        warnings.warn(
-            "gamma1*gamma2 near 4g^2: symmetric-critical analytic limit used",
-            NearSingularDenominator,
-            stacklevel=3,
-        )
-    else:
-        phi_fn = (gamma * E - 2.0 * g * F) / den
-        psi_fn = (gamma * F - 2.0 * g * E) / den
-    b1 = 0.5 * E1 + 0.5 * gamma * (1.0 + n1 + n2) * phi_fn - gamma * G * (1.0 + n2 - n1)
-    b2 = 0.5 * E1 + 0.5 * gamma * (1.0 + n1 + n2) * phi_fn - gamma * G * (1.0 + n1 - n2)
-    d = 1j * 0.5 * cmath.exp(-1j * phi) * (gamma * (1.0 + n1 + n2) * psi_fn - F)
-    return b1, b2, d
+def _phi(x: float, t: float) -> float:
+    """Integral of e^{x s} over 0 <= s <= t."""
+    xt = x * t
+    return t * math.expm1(xt) / xt if xt else t
 
 
 def noise_coeffs(params: AmplifierParams, t: float) -> tuple[float, float, complex]:
-    """Noise variances and anomalous correlation (B1N, B2N, D) at time t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    g, phi = params.g, params.pump_phase
-    g1, g2 = params.gamma1, params.gamma2
-    n1, n2 = params.nbar1, params.nbar2
-    if g == 0.0 and g1 == 0.0 and g2 == 0.0:
-        return 0.0, 0.0, 0j
-    if g1 == g2:
-        return _noise_symmetric(g, phi, g1, n1, n2, t)
-    den = g1 * g2 - 4.0 * g * g
-    if abs(den) < _CRITICAL_TOL * (g1 * g2 + 4.0 * g * g):
-        warnings.warn(
-            "gamma1*gamma2 near 4g^2: Richardson extrapolation used",
-            NearSingularDenominator,
-            stacklevel=2,
-        )
-        d = _RICHARDSON_DELTA
-        b1 = 0.5 * (_b1n_general(g, g1 * (1 + d), g2 * (1 + d), n1, n2, t)
-                    + _b1n_general(g, g1 * (1 - d), g2 * (1 - d), n1, n2, t))
-        b2 = 0.5 * (_b1n_general(g, g2 * (1 + d), g1 * (1 + d), n2, n1, t)
-                    + _b1n_general(g, g2 * (1 - d), g1 * (1 - d), n2, n1, t))
-        dval = 0.5 * (_d_general(g, phi, g1 * (1 + d), g2 * (1 + d), n1, n2, t)
-                      + _d_general(g, phi, g1 * (1 - d), g2 * (1 - d), n1, n2, t))
-        return b1, b2, dval
-    return (
-        _b1n_general(g, g1, g2, n1, n2, t),
-        _b1n_general(g, g2, g1, n2, n1, t),
-        _d_general(g, phi, g1, g2, n1, n2, t),
-    )
+    """Noise variances and anomalous correlation (B1N, B2N, D) at time t >= 0.
+
+    The drift of (a1, a2+) is M = -sigma*I + H with H = [[delta, kappa],
+    [kappa*, -delta]], H^2 = omega^2*I, and the noise record is
+    X = int_0^t e^{Ms} Q e^{M+s} ds with Q = [[gamma1*nbar1, kappa],
+    [kappa*, gamma2*nbar2]].  Splitting e^{Ms} over the projectors (I +- R)/2,
+    R = H/omega, gives X = [(P++ + P-- + 2P+-) Q + (P++ - P--) (QR + RQ)
+    + (P++ + P-- - 2P+-) RQR] / 4, with P the integrals of the three exponents
+    e^{2(omega - sigma)s}, e^{-2(omega + sigma)s} and e^{-2 sigma s}.  No
+    denominator vanishes on the critical surface gamma1*gamma2 = 4g^2.
+    B1N = X11, B2N = X22 and D = conj(X12).
+    """
+    _check_time(t)
+    g, g1, g2 = params.g, params.gamma1, params.gamma2
+    q1, q2 = g1 * params.nbar1, g2 * params.nbar2
+    kappa = 1j * g * cmath.exp(1j * params.pump_phase)
+    sigma = (g1 + g2) / 4.0
+    omega = math.sqrt(params.eps) / 4.0
+    # R = H/omega = [[r, k], [k*, -r]] with |k| = u = g/omega; R = 0 where H = 0
+    # (g = 0 and gamma1 = gamma2)
+    r, k, u = ((g2 - g1) / 4.0 / omega, kappa / omega, g / omega) if omega else (0.0, 0j, 0.0)
+    gu = g * u  # kappa k* = g^2/omega
+    pp = _phi(2.0 * (omega - sigma), t)
+    mm = _phi(-2.0 * (omega + sigma), t)
+    pm = _phi(-2.0 * sigma, t)
+    s, d, c = pp + mm + 2.0 * pm, pp - mm, pp + mm - 2.0 * pm
+
+    def diag(r: float, q: float, q_other: float) -> float:
+        # (QR + RQ)_jj = 2(rq + gu), (RQR)_jj = r^2 q + 2r gu + u^2 q_other; the
+        # same expression for both modes keeps the mode swap exact
+        return 0.25 * (s * q + d * 2.0 * (r * q + gu)
+                       + c * (r * (r * q + 2.0 * gu) + u * u * q_other))
+
+    # (QR + RQ)_12 = k(q1 + q2), (RQR)_12 = r k (q1 - q2) + kappa (u^2 - r^2)
+    x12 = 0.25 * (s * kappa + d * k * (q1 + q2)
+                  + c * (r * k * (q1 - q2) + kappa * (u * u - r * r)))
+    return diag(r, q1, q2), diag(-r, q2, q1), x12.conjugate()
 
 
 def coeffs_at(params: AmplifierParams, t: float) -> EvolvedCoeffs:
     """Assemble the full coefficient record for one time; every observable
     evaluates through here, so a non-finite t is refused for all of them."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
     f1, f2, f3 = dyn_coeffs(params, t)
     b1, b2, d = noise_coeffs(params, t)
     return EvolvedCoeffs(f1=f1, f2=f2, f3=f3, B1N=b1, B2N=b2, D=d)

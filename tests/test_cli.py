@@ -264,9 +264,11 @@ class TestOtherCommands:
         rows = (tmp_path / "w.csv").read_text().splitlines()
         assert len(rows) == 41 * 41 + 1
 
-    def test_oracle_check_small(self, tmp_path):
+    def test_oracle_check_small(self, tmp_path, capsys):
+        # the comparison lattice is pointwise, so no boundary warning fires
         out = tmp_path / "oc.csv"
-        assert main(["oracle-check", "--envelope", "small", "--out", str(out)]) == 0
+        assert main(["oracle-check", "--envelope", "small", "--strict", "--out", str(out)]) == 0
+        assert "warning" not in capsys.readouterr().err
         meta = json.loads((tmp_path / "oc.meta.json").read_text())
         assert meta["max_abs_deviation"] < 1e-6
 

@@ -1,20 +1,40 @@
+import dataclasses
 import math
 import sys
-import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catamp as ca
 from catamp import oracle
-from catamp.coeffs import NearSingularDenominator
 
-from conftest import make_system
+from conftest import amplifiers, make_system
 
 
 def symmetric_f1(g, gamma, t):
     # independent form of the drift coefficient for equal losses
     return 0.5 * (math.exp((g - gamma / 2) * t) + math.exp(-(g + gamma / 2) * t))
+
+
+def van_loan_noise(g, pump, gamma1, gamma2, nbar1, nbar2, t):
+    """(B1N, B2N, D) at 40 digits: X = int_0^t e^{Ms} Q e^{M+s} ds = e^{Mt} G,
+    where G is the top-right block of expm([[-M, Q], [0, M+]] t) (Van Loan
+    1978), with M the drift of (a1, a2+) and Q its noise matrix."""
+    with mpmath.workdps(40):
+        g, pump, gamma1, gamma2, nbar1, nbar2, t = map(
+            mpmath.mpf, (g, pump, gamma1, gamma2, nbar1, nbar2, t))
+        kappa = 1j * g * mpmath.expj(pump)
+        m = mpmath.matrix([[-gamma1 / 2, kappa], [mpmath.conj(kappa), -gamma2 / 2]])
+        q = mpmath.matrix([[gamma1 * nbar1, kappa], [mpmath.conj(kappa), gamma2 * nbar2]])
+        block = mpmath.zeros(4, 4)
+        for i in range(2):
+            for j in range(2):
+                block[i, j], block[i, j + 2], block[i + 2, j + 2] = -m[i, j], q[i, j], m.H[i, j]
+        e = mpmath.expm(block * t)
+        x = mpmath.expm(m * t) * mpmath.matrix([[e[0, 2], e[0, 3]], [e[1, 2], e[1, 3]]])
+        return float(x[0, 0].real), float(x[1, 1].real), complex(mpmath.conj(x[0, 1]))
 
 
 class TestDynCoeffs:
@@ -98,10 +118,8 @@ class TestNoiseCoeffs:
             t = float(rng.uniform(0, 2))
             pa = ca.AmplifierParams(g=g, gamma1=g1, gamma2=g2, nbar1=n1, nbar2=n2)
             pb = ca.AmplifierParams(g=g, gamma1=g2, gamma2=g1, nbar1=n2, nbar2=n1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NearSingularDenominator)
-                b1a, b2a, _ = ca.noise_coeffs(pa, t)
-                b1b, b2b, _ = ca.noise_coeffs(pb, t)
+            b1a, b2a, _ = ca.noise_coeffs(pa, t)
+            b1b, b2b, _ = ca.noise_coeffs(pb, t)
             assert b1a == b2b
             assert b2a == b1b
 
@@ -114,9 +132,7 @@ class TestNoiseCoeffs:
                 nbar1=float(rng.uniform(0, 3)), nbar2=float(rng.uniform(0, 3)),
             )
             t = float(rng.uniform(0.0, 5.0 / g))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NearSingularDenominator)
-                b1, b2, _ = ca.noise_coeffs(p, t)
+            b1, b2, _ = ca.noise_coeffs(p, t)
             assert b1 >= -1e-14
             assert b2 >= -1e-14
 
@@ -138,9 +154,7 @@ class TestNoiseCoeffs:
         # values on the singular surface sit between nearby off-surface values
         g = 1.0
         p_c = ca.AmplifierParams(g=g, gamma1=2.0, gamma2=2.0, nbar1=0.5, nbar2=0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NearSingularDenominator)
-            b1c, _, dc = ca.noise_coeffs(p_c, 0.7)
+        b1c, _, dc = ca.noise_coeffs(p_c, 0.7)
         vals = []
         for fac in (0.999, 1.001):
             p = ca.AmplifierParams(g=g, gamma1=2.0 * fac, gamma2=2.0 * fac,
@@ -149,18 +163,50 @@ class TestNoiseCoeffs:
         assert min(vals) - 1e-6 <= b1c <= max(vals) + 1e-6
         assert abs(dc) > 0
 
-    def test_asymmetric_near_critical_warns_and_extrapolates(self):
-        # gamma1*gamma2 = 4 g^2 with unequal gammas
-        g = 1.0
-        p = ca.AmplifierParams(g=g, gamma1=1.0, gamma2=4.0, nbar1=0.2, nbar2=0.6)
-        with pytest.warns(NearSingularDenominator):
-            b1, b2, d = ca.noise_coeffs(p, 0.5)
-        for fac in (1 - 1e-4, 1 + 1e-4):
-            pn = ca.AmplifierParams(g=g, gamma1=1.0 * fac, gamma2=4.0 * fac,
-                                    nbar1=0.2, nbar2=0.6)
-            b1n, _, dn = ca.noise_coeffs(pn, 0.5)
-            assert b1 == pytest.approx(b1n, rel=5e-3)
-            assert d == pytest.approx(dn, rel=5e-3)
+    # (g, pump, gamma1, gamma2, nbar1, nbar2, t)
+    @pytest.mark.parametrize("case", [
+        (1.0, 0.3, 2.0, 2.0, 0.5, 0.5, 0.7),
+        (1.0, 0.3, 2.0 * (1 + 2e-6), 2.0 * (1 + 2e-6), 0.5, 0.5, 0.7),
+        (1.0, 0.3, 2.0 * (1 + 1e-7), 2.0 * (1 + 1e-7), 0.5, 0.5, 0.7),
+        (1.0, 0.3, 1.0, 4.0, 0.2, 0.6, 0.5),
+        (1.0, 0.3, 1.0, 4.0 * (1 + 2e-6), 0.2, 0.6, 0.5),
+        (1.0, 0.3, 1.0, 4.0 * (1 + 1e-7), 0.2, 0.6, 0.5),
+        (0.0, 0.0, 0.8, 0.8, 0.4, 1.1, 1.7),
+        (0.0, 0.0, 1.2, 0.4, 0.4, 1.1, 0.9),
+        (1e-6, 0.7, 0.0, 0.0, 0.0, 0.0, 1.0),
+        (1e-6, 0.7, 0.5, 0.9, 0.3, 0.2, 1.0),
+        (0.5, math.pi / 2, 1.1, 1.1, 0.5, 0.5, 0.2),
+    ], ids=["symmetric_critical", "symmetric_2e-6_off", "symmetric_1e-7_off",
+            "asymmetric_critical", "asymmetric_2e-6_off", "asymmetric_1e-7_off",
+            "g0_equal_losses", "g0_unequal_losses", "gt_1e-6_lossless", "gt_1e-6_damped",
+            "fig10_overdamped"])
+    def test_matches_40_digit_van_loan_reference(self, case):
+        # the critical surfaces gamma1*gamma2 = 4g^2, points just off them, the
+        # g = 0 and small-gain limits: one formula within 1e-14 everywhere
+        *fields, t = case
+        p = ca.AmplifierParams(*fields)
+        ref = van_loan_noise(*fields, t)
+        scale = max(1.0, *(abs(v) for v in ref))
+        for got, want in zip(ca.noise_coeffs(p, t), ref):
+            assert abs(got - want) <= 1e-14 * scale
+
+
+# t >= 1e-3 with g >= 0.1 keeps g*t >= 1e-4: below it B_jN ~ (g*t)^2 is accurate
+# only in absolute terms, about 1e-16*g*t, as P++ - P-- is a difference of two
+# numbers near t
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(params=amplifiers, lossless=st.booleans(), t=st.floats(1e-3, 2.0))
+def test_noise_is_a_physical_covariance(params, lossless, t):
+    # Cauchy-Schwarz on the noise operators: |<A1+ A2+>|^2 <= <A1+ A1><A2 A2+>,
+    # with equality for the pure two-mode squeezed vacuum of the lossless amplifier
+    if lossless:
+        params = dataclasses.replace(params, gamma1=0.0, gamma2=0.0)
+    b1, b2, d = ca.noise_coeffs(params, t)
+    bound = min(b1 * (1.0 + b2), (1.0 + b1) * b2)
+    if lossless:
+        assert abs(abs(d) ** 2 - bound) <= 1e-11 * bound
+    else:
+        assert abs(d) ** 2 <= bound * (1.0 + 1e-11)
 
 
 class TestEvolvedAmplitudes:
@@ -209,14 +255,17 @@ class TestCoeffsRecord:
 
 
 class TestNonFiniteTime:
-    # coeffs_at refuses the time, so every observable does
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    # the coefficient functions refuse the time, so every observable does
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("observable", [
         lambda s, t: ca.moment(1, 1, 0, 0, s, t),
         lambda s, t: ca.two_mode_squeezing(s, t),
         lambda s, t: ca.sum_pnd(s, t),
         lambda s, t: ca.wigner_grid(s, t),
-    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid"])
+        lambda s, t: ca.dyn_coeffs(s.params, t),
+        lambda s, t: ca.noise_coeffs(s.params, t),
+    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid", "dyn_coeffs",
+            "noise_coeffs"])
     def test_observables_name_t(self, observable, t):
         system = make_system("even", 1.0, "odd", 0.5)
         with pytest.raises(ValueError, match="t must be finite"):

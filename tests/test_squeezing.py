@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from scipy.optimize import minimize_scalar
 
 import catamp as ca
 from catamp import oracle
-from catamp.coeffs import NearSingularDenominator
 from catamp.squeezing import _f_even, _f_odd
 
 from conftest import amplifiers, cats, make_system, random_cat, swap_modes
@@ -38,10 +36,8 @@ class TestSingleMode:
             # for any gamma pair since only mode-1 noise enters
             t = float(rng.uniform(0.0, 1.0))
             system = ca.System(ca.CatSpec.even(a1), ca.CatSpec.even(a2), params)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NearSingularDenominator)
-                generic = ca.single_mode_squeezing(1, system, t).Q
-                closed = ca.q_factor_even_even(a1, a2, params, t)
+            generic = ca.single_mode_squeezing(1, system, t).Q
+            closed = ca.q_factor_even_even(a1, a2, params, t)
             assert generic == pytest.approx(closed, abs=1e-10)
 
     def test_odd_even_matches_closed_form(self, rng):
@@ -105,9 +101,7 @@ class TestSingleMode:
                                                   nbar1=float(rng.uniform(0, 1)),
                                                   nbar2=float(rng.uniform(0, 1))))
             t = float(rng.uniform(0, 1.0))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NearSingularDenominator)
-                sq = ca.single_mode_squeezing(1, system, t)
+            sq = ca.single_mode_squeezing(1, system, t)
             assert sq.S > -1.0 and sq.Q > -1.0
             assert (sq.S + 1.0) * (sq.Q + 1.0) >= 1.0 - 1e-10
 
@@ -172,11 +166,9 @@ class TestTwoMode:
                                  gamma=float(rng.uniform(0.0, 1.0)),
                                  nbar=float(rng.uniform(0.0, 0.8)))
             t = float(rng.uniform(0.0, 1.0))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NearSingularDenominator)
-                q_c = ca.two_mode_squeezing(system, t).Q
-                q_1 = ca.single_mode_squeezing(1, system, t).Q
-                q_2 = ca.single_mode_squeezing(2, system, t).Q
+            q_c = ca.two_mode_squeezing(system, t).Q
+            q_1 = ca.single_mode_squeezing(1, system, t).Q
+            q_2 = ca.single_mode_squeezing(2, system, t).Q
             assert q_c == pytest.approx(0.5 * (q_1 + q_2), abs=1e-12)
 
     def test_matches_oracle(self):
@@ -278,11 +270,9 @@ def test_mode_swap_symmetry(cat1, cat2, params, t):
     # compound factors alone and exchanges the single-mode ones
     system = ca.System(cat1, cat2, params)
     swapped = swap_modes(system)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearSingularDenominator)
-        pairs = [(ca.two_mode_squeezing(system, t), ca.two_mode_squeezing(swapped, t)),
-                 (ca.single_mode_squeezing(1, system, t), ca.single_mode_squeezing(2, swapped, t)),
-                 (ca.single_mode_squeezing(2, system, t), ca.single_mode_squeezing(1, swapped, t))]
+    pairs = [(ca.two_mode_squeezing(system, t), ca.two_mode_squeezing(swapped, t)),
+             (ca.single_mode_squeezing(1, system, t), ca.single_mode_squeezing(2, swapped, t)),
+             (ca.single_mode_squeezing(2, system, t), ca.single_mode_squeezing(1, swapped, t))]
     for mine, theirs in pairs:
         for a, b in ((mine.S, theirs.S), (mine.Q, theirs.Q)):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
