@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import EvolvedTerms, evolve_terms
-from .params import System
+from .params import System, _count
 
 
 class OrderTooHigh(ValueError):
@@ -101,9 +101,7 @@ def moment(m1: int, n1: int, m2: int, n2: int, system: System, t: float) -> comp
     orders of the photon-number sum are available through the reduced
     factorial moments.
     """
-    orders = (m1, n1, m2, n2)
-    if any(o < 0 or o != int(o) for o in orders):
-        raise ValueError("moment orders must be nonnegative integers")
+    orders = tuple(map(_count, ("m1", "n1", "m2", "n2"), (m1, n1, m2, n2)))
     if sum(orders) > MAX_MOMENT_ORDER:
         raise OrderTooHigh(
             f"total order {sum(orders)} exceeds the closed-form bound {MAX_MOMENT_ORDER}"

@@ -8,6 +8,7 @@ the gain g.  Every type here is an immutable value object and safe to share.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,17 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def _count(name: str, value) -> int:
+    """value as an int; ValueError naming the argument unless it is an integer >= 0."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return count
 
 
 def _canonical_phase(phi: float) -> float:

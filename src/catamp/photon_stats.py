@@ -1,25 +1,25 @@
 """Photon-number distributions and reduced factorial moments.
 
 Every term (row) of the state has a closed-form photon-number generating
-function, built from two effective "thermal + coherent" channels with thermal
-weights lambda_+/- and coherent weights A_+/- (generating_quantities):
+function.  With u = 1 - s, the noise covariance Sigma = [[B1N, D], [D*, B2N]]
+and the row's weights a, b (generating_quantities) it is
 
-    G_i(s) = prod_+/- exp(A_i u / (1 + lambda u)) / (1 + lambda u),  u = 1 - s,
+    G_i(s) = exp(u (a_i + b_i u) / Delta(u)) / Delta(u),  Delta(u) = 1 + T u + K u^2,
 
-and P(n) = N1^2 N2^2 Re sum_i p_i [s^n] G_i(s).  One mode alone has a single
-channel, lambda = B_jN and A = -abar_j abar_j'.  The distributions read every
-coefficient n <= n_max at once from samples of G on the roots of unity, one
-inverse FFT per class.  The factorial moments <W^k>, the k-th derivatives of
-G at s = 1, are products of Laguerre ladders lambda^m L_m(A / lambda) in the
-standard convention (L_0 = 1, L_1 = 1 - x), whose factorials are folded into
-the series so that distributions are normalized and match the Fock-space
-reference.
+and P(n) = N1^2 N2^2 Re sum_i p_i [s^n] G_i(s).  For the sum n1 + n2,
+Delta(u) = det(I + u Sigma): T = B1N + B2N, K = B1N B2N - |D|^2; one mode
+alone has T = B_jN and K = b = 0.  The distributions read every coefficient
+n <= n_max at once from samples of G on the roots of unity, one inverse FFT
+per class.  The factorial moments <W^k> are k! times the Taylor coefficients
+of G about s = 1, from one four-term recurrence; at K = b = 0 it is the
+Laguerre recurrence of T^m L_m(-a / T) in the standard convention
+(L_0 = 1, L_1 = 1 - x), whose factorials are folded into the series so that
+distributions are normalized and match the Fock-space reference.
 
 Each distribution and factorial moment evolves the term table once
 (coeffs.evolve_terms) and reads that record.  Row 15 - i is row i with every
-amplitude negated: same class, bit-identical quadratic quantities (A_+/-,
-single-mode c1).  So only rows 0..7 are evaluated, each weighted by the
-paired prefactor of rows i and 15 - i.
+amplitude negated: same class, bit-identical a and b.  So only rows 0..7 are
+evaluated, each weighted by the paired prefactor of rows i and 15 - i.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .coeffs import EvolvedTerms, evolve_terms
-from .params import System
+from .params import System, _count
 from .rho_terms import TermClass
 
 
@@ -42,9 +43,6 @@ class TruncationWarning(UserWarning):
 
 TAIL_TOL = 1e-6
 MAX_FACTORIAL_ORDER = 64
-# below this (relative) separation, the two thermal channels are treated as
-# the decoupled per-mode channels; exact when the cross-correlation vanishes
-_DEGENERATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,39 +61,28 @@ class Distribution:
         return float(np.dot(np.arange(self.n_max + 1), self.probs))
 
 
-def generating_quantities(ev: EvolvedTerms) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Thermal weights lambda_+/- and the rows' coherent weights A_+/-.
-
-    The thermal weights depend on the noise coefficients only; A_+ and A_-
-    are (16,) arrays, one value per row.  When the two channel weights
-    degenerate (which requires the anomalous correlation to vanish), the
-    partial-fraction split is replaced by the per-mode decoupled assignment,
-    which is exact there.
-    """
+def generating_quantities(
+    ev: EvolvedTerms, mode: int | None = None
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """T, K of Delta(u) = 1 + T u + K u^2 and the rows' weights a, b ((16,) arrays)
+    of the sum n1 + n2 (mode None) or of mode 1 or 2 alone, where K = b = 0."""
+    if mode is not None:
+        bn, abar, abarp = ev.mode(mode)
+        a = -abar * abarp
+        return bn, 0.0, a, np.zeros_like(a)
     b1, b2, d = ev.coeffs.B1N, ev.coeffs.B2N, ev.coeffs.D
     c1, c2 = ev.ab1 * ev.abp1, ev.ab2 * ev.abp2
-    disc = math.sqrt((b1 - b2) ** 2 + 4.0 * abs(d) ** 2)
-    scale = 1.0 + b1 + b2
-    if disc < _DEGENERATE_TOL * scale:
-        return (b1, b2, -c1, -c2) if b1 >= b2 else (b2, b1, -c2, -c1)
-    lam_p = 0.5 * (b1 + b2) + 0.5 * disc
-    lam_m = 0.5 * (b1 + b2) - 0.5 * disc
     cross = ev.abp1 * ev.abp2 * d + ev.ab1 * ev.ab2 * d.conjugate()
-
-    def numer(lam):
-        return cross - c1 * (b2 - lam) - c2 * (b1 - lam)
-
-    # the split carries 1/(lambda_minus - lambda_plus) = -1/disc
-    return lam_p, lam_m, -numer(lam_p) / disc, numer(lam_m) / disc
+    return b1 + b2, b1 * b2 - abs(d) ** 2, -(c1 + c2), cross - c1 * b2 - c2 * b1
 
 
-def _real_coefficients(lams, rows, n_max: int) -> dict:
+def _real_coefficients(t_coef: float, k_coef: float, rows, n_max: int) -> dict:
     """Re [s^n] of each class's generating function, n = 0..n_max.
 
-    A row (kind, p, A) stands for p * prod_j exp(A_j w_j) / (1 + lam_j u) with
-    u = 1 - s and w_j = u / (1 + lam_j u), one factor per thermal channel j.
-    Each row enters as (p G + conj(p) Gbar) / 2, Gbar carrying the conjugated
-    A_j, whose coefficients are the real parts of p G's.  A class's samples on
+    A row (kind, p, a, b) stands for p exp(a w + b u w) / Delta(u) with
+    u = 1 - s, Delta(u) = 1 + T u + K u^2 and w = u / Delta(u).  Each row
+    enters as (p G + conj(p) Gbar) / 2, Gbar carrying the conjugated a and b,
+    whose coefficients are the real parts of p G's.  A class's samples on
     s = e^{-2 pi i k / N} are then Hermitian in k, so the half circle
     k = 0..N/2 holds them all and one irfft returns the coefficients.  With
     N = 2 (n_max + 1) the aliased terms P(n + N), ... lie beyond twice the
@@ -103,17 +90,16 @@ def _real_coefficients(lams, rows, n_max: int) -> dict:
     """
     size = 2 * (n_max + 1)
     u = -np.expm1(np.arange(size // 2 + 1) * (-2j * math.pi / size))  # accurate near s = 1
-    ws, base = [], 0.5  # the 1/2 of the symmetrized rows
-    for lam in lams:
-        den = 1.0 + lam * u
-        ws.append(u / den)
-        base = base / den
+    den = 1.0 + t_coef * u + k_coef * u * u
+    w = u / den
+    uw = u * w
     sums = {}
-    for kind, pref, amps in rows:
+    for kind, pref, a, b in rows:
         acc = sums.setdefault(kind, np.zeros_like(u))
-        for p, a in ((pref, amps), (pref.conjugate(), [x.conjugate() for x in amps])):
-            z = sum(aj * w for aj, w in zip(a, ws))
+        for p, ap, bp in ((pref, a, b), (pref.conjugate(), a.conjugate(), b.conjugate())):
+            z = ap * w + bp * uw
             acc += p * np.exp(z, out=z)
+    base = 0.5 / den  # the 1/2 of the symmetrized rows
     return {kind: np.fft.irfft(acc * base, size)[: n_max + 1] for kind, acc in sums.items()}
 
 
@@ -136,21 +122,31 @@ _AUTO_TAIL_TARGET = 1e-9
 _AUTO_GROWTH_TRIES = 4
 
 
-def _with_auto_tail(n_max, auto, compute):
-    """Run compute(n_max); with automatic truncation, grow until the tail
-    drops below the target (thermal tails can outlive the variance margin)."""
-    if n_max is not None:
-        probs, extra = compute(n_max)
-        _check_tail(probs)
-        return probs, extra, n_max
-    n_max = auto()
-    for _ in range(_AUTO_GROWTH_TRIES):
-        probs, extra = compute(n_max)
-        if 1.0 - float(np.sum(probs)) <= _AUTO_TAIL_TARGET:
-            return probs, extra, n_max
-        n_max = int(1.7 * n_max) + 50
-    _check_tail(probs)
-    return probs, extra, n_max
+def _pnd(system: System, t: float, n_max, mode: int | None):
+    """P(n), the real class parts (one part, None, for one mode) and n_max.
+
+    Automatic truncation grows n_max until the tail drops below the target
+    (thermal tails can outlive the variance margin).
+    """
+    ev = evolve_terms(system, t)
+    t_coef, k_coef, a, b = generating_quantities(ev, mode)
+    kinds, order = (ev.kind[:8], TermClass) if mode is None else ((None,) * 8, (None,))
+    rows = list(zip(kinds, _paired_prefactors(ev), a[:8].tolist(), b[:8].tolist()))
+    tries = _AUTO_GROWTH_TRIES if n_max is None else 1
+    n_max = _auto_n_max(ev, mode) if n_max is None else _count("n_max", n_max)
+    for attempt in range(tries):
+        if attempt:
+            n_max = int(1.7 * n_max) + 50
+        coeffs = _real_coefficients(t_coef, k_coef, rows, n_max)
+        parts = {kind: ev.norm * coeffs[kind] for kind in order}
+        probs = reduce(np.add, parts.values())
+        tail = 1.0 - float(np.sum(probs))
+        if tail <= _AUTO_TAIL_TARGET:
+            break
+    if tail > TAIL_TOL:
+        warnings.warn(f"photon-number tail mass {tail:.3e} exceeds {TAIL_TOL:.0e}; "
+                      "increase n_max", TruncationWarning, stacklevel=2)
+    return probs, parts, n_max
 
 
 def sum_pnd(system: System, t: float, n_max: int | None = None) -> Distribution:
@@ -160,41 +156,16 @@ def sum_pnd(system: System, t: float, n_max: int | None = None) -> Distribution:
     asymmetric interference); the parts may be negative individually, the
     total is a probability distribution.
     """
-    ev = evolve_terms(system, t)
-    lam_p, lam_m, a_plus, a_minus = generating_quantities(ev)
-    rows = list(zip(ev.kind[:8], _paired_prefactors(ev), zip(a_plus[:8].tolist(),
-                                                            a_minus[:8].tolist())))
-
-    def compute(nm):
-        coeffs = _real_coefficients((lam_p, lam_m), rows, nm)
-        parts = {kind: ev.norm * coeffs[kind] for kind in TermClass}
-        return sum(parts.values()), parts
-
-    probs, real_parts, n_max = _with_auto_tail(n_max, lambda: _auto_n_max(ev, None), compute)
-    return Distribution(probs=probs, n_max=n_max, class_parts=real_parts)
+    probs, parts, n_max = _pnd(system, t, n_max, None)
+    return Distribution(probs=probs, n_max=n_max, class_parts=parts)
 
 
 def single_pnd(mode: int, system: System, t: float, n_max: int | None = None) -> Distribution:
     """Marginal photon-number distribution of one mode (1 = signal, 2 = idler)."""
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    ev = evolve_terms(system, t)
-    b, abar, abarp = ev.mode(mode)
-    rows = [(None, pref, (-c1,)) for pref, c1 in zip(_paired_prefactors(ev),
-                                                      (abar[:8] * abarp[:8]).tolist())]
-
-    def compute(nm):
-        return ev.norm * _real_coefficients((b,), rows, nm)[None], None
-
-    probs, _, n_max = _with_auto_tail(n_max, lambda: _auto_n_max(ev, mode), compute)
+    probs, _, n_max = _pnd(system, t, n_max, mode)
     return Distribution(probs=probs, n_max=n_max)
-
-
-def _check_tail(probs: np.ndarray) -> None:
-    tail = 1.0 - float(np.sum(probs))
-    if tail > TAIL_TOL:
-        warnings.warn(f"photon-number tail mass {tail:.3e} exceeds {TAIL_TOL:.0e}; "
-                      "increase n_max", TruncationWarning, stacklevel=3)
 
 
 def factorial_moments(
@@ -206,8 +177,7 @@ def factorial_moments(
     chosen mode alone.  Negative normalized values indicate sub-Poissonian
     (antibunched) light.  The normalized form is NaN when <W> = 0.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
+    k = _count("k", k)
     if k > MAX_FACTORIAL_ORDER:
         raise ValueError(f"k must be <= {MAX_FACTORIAL_ORDER}")
     if scope not in ("compound", "single"):
@@ -225,29 +195,32 @@ def factorial_moments(
     return wk, wk / w1**k - 1.0
 
 
-def _ladders(lam: float, amps: np.ndarray, k: int) -> np.ndarray:
-    """lam^m L_m(A / lam) for m = 0..k, one row per A in amps: the coefficients of
-    exp(-A v / (1 - lam v)) / (1 - lam v) in v, by the plain Laguerre recurrence."""
-    out = np.empty((len(amps), k + 1), dtype=complex)
-    out[:, 0] = 1.0
-    if k:
-        out[:, 1] = lam - amps
-    for m in range(1, k):
-        out[:, m + 1] = ((lam * (2 * m + 1) - amps) * out[:, m]
-                         - m * lam * lam * out[:, m - 1]) / (m + 1)
+def _taylor_coefficients(t_coef: float, k_coef: float, a, b, k: int) -> list[complex]:
+    """[v^k] F(v) of each row (a, b), F(v) = G(1 + v) = exp(-v (a - b v) / P) / P.
+
+    P = 1 - T v + K v^2, and F solves P^2 F' = S F with S cubic, so with Q the
+    coefficients of 1 - P^2:  (m+1) F_{m+1} = sum_{j=0..3} (S_j + Q_j (m-j)) F_{m-j}.
+    """
+    t, kc = t_coef, k_coef
+    q0, q1, q2, q3 = 2.0 * t, -(t * t + 2.0 * kc), 2.0 * t * kc, -kc * kc
+    s3, tk3 = 2.0 * q3, 3.0 * t * kc
+    out = []
+    for ar, br in zip(a, b):
+        s0, s1, s2 = t - ar, 2.0 * br + q1, ar * kc - br * t + tk3
+        f0, f1, f2, f3 = 1.0 + 0j, 0j, 0j, 0j  # F_m .. F_{m-3}, with F_{-j} = 0
+        for m in range(k):
+            nxt = ((s0 + q0 * m) * f0 + (s1 + q1 * (m - 1)) * f1
+                   + (s2 + q2 * (m - 2)) * f2 + (s3 + q3 * (m - 3)) * f3)
+            f0, f1, f2, f3 = nxt / (m + 1), f0, f1, f2
+        out.append(f0)
     return out
 
 
 def _factorial_moment(ev: EvolvedTerms, k: int, mode: int | None) -> float:
     """<W^k> of the sum n1 + n2 (mode None) or of one mode, from the record:
     k! [v^k] of the generating function at s = 1 + v."""
-    if mode is None:
-        lam_p, lam_m, a_plus, a_minus = generating_quantities(ev)
-        vals = np.sum(_ladders(lam_p, a_plus[:8], k) * _ladders(lam_m, a_minus[:8], k)[:, ::-1],
-                      axis=1)
-    else:
-        b, abar, abarp = ev.mode(mode)
-        vals = _ladders(b, -abar[:8] * abarp[:8], k)[:, k]
-    total = np.dot(_paired_prefactors(ev), vals)
+    t_coef, k_coef, a, b = generating_quantities(ev, mode)
+    vals = _taylor_coefficients(t_coef, k_coef, a[:8].tolist(), b[:8].tolist(), k)
+    total = sum(p * v for p, v in zip(_paired_prefactors(ev), vals))
     # k! last: past float range the moment is inf, not an inf - inf NaN
     return float((ev.norm * total).real) * math.factorial(k)

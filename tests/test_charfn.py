@@ -109,6 +109,10 @@ class TestMoments:
             ca.moment(2, 1, 1, 1, system, 0.1)
         with pytest.raises(ValueError):
             ca.moment(-1, 0, 0, 0, system, 0.1)
+        for orders, name in (((1.0, 1, 0, 0), "m1"), ((0, 0, 1, 0.5), "n2"),
+                             ((0, "1", 0, 0), "n1")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+                ca.moment(*orders, system, 0.1)
 
     def test_even_cat_mean_photon_number(self):
         # Fock-sum oracle for the even cat's mean photon number

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -9,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import eval_laguerre
 
 import catamp as ca
-from catamp import oracle
-from catamp.photon_stats import TruncationWarning, _ladders
+from catamp import oracle, photon_stats
+from catamp.photon_stats import TruncationWarning, _taylor_coefficients
 
 from conftest import CAT_MAKERS, amplifiers, cats, make_system, random_cat, swap_modes
 
@@ -50,14 +51,43 @@ def _ladder(x: complex, xy: complex, c: complex, n: int) -> np.ndarray:
     return vals
 
 
+def eigen_split(ev):
+    """The two-channel form of every row's sum generating function, the reference.
+
+    G(s) = prod_+/- exp(A_+/- u / (1 + lambda_+/- u)) / (1 + lambda_+/- u): the
+    thermal weights lambda_+/- are the roots of Delta(u) = (1 + lambda_+ u)(1 + lambda_- u),
+    the eigenvalues of the noise covariance, and the coherent weights solve
+    a = A_+ + A_-, b = A_+ lambda_- + A_- lambda_+.  Taken from the kernel's own
+    (T, K, a, b) in 50-digit arithmetic; at lambda_+ = lambda_- (b = a lambda) the
+    whole of a goes to one channel.  Returns mpmath numbers, A_+/- as (16,) lists.
+    """
+    t_coef, k_coef, a, b = ca.generating_quantities(ev)
+    with mpmath.workdps(50):
+        t_coef, k_coef = mpmath.mpf(t_coef), mpmath.mpf(k_coef)
+        disc = mpmath.sqrt(max(t_coef**2 - 4 * k_coef, 0))
+        lam_p, lam_m = (t_coef + disc) / 2, (t_coef - disc) / 2
+        a, b = [mpmath.mpc(x) for x in a], [mpmath.mpc(x) for x in b]
+        a_plus = [x if disc == 0 else (x * lam_p - y) / disc for x, y in zip(a, b)]
+        a_minus = [x - xp for x, xp in zip(a, a_plus)]
+    return lam_p, lam_m, a_plus, a_minus
+
+
+def float_split(ev):
+    """eigen_split rounded to floats: lambda_+/- and (16,) complex arrays A_+/-."""
+    lam_p, lam_m, a_plus, a_minus = eigen_split(ev)
+    return (float(lam_p), float(lam_m), np.array([complex(x) for x in a_plus]),
+            np.array([complex(x) for x in a_minus]))
+
+
 def laguerre(n, x):
-    """L_n(x) from the factorial-moment ladders of photon_stats at lambda = 1."""
+    """L_n(x) from the factorial-moment recurrence of photon_stats at T = 1, K = b = 0."""
     x = np.asarray(x, dtype=complex)
-    return _ladders(1.0, x.ravel(), n)[:, n].reshape(x.shape)[()]
+    vals = _taylor_coefficients(1.0, 0.0, x.ravel().tolist(), [0j] * x.size, n)
+    return np.array(vals).reshape(x.shape)[()]
 
 
 class TestLaguerre:
-    # the one Laguerre recurrence left in src: lambda^m L_m(A / lambda) for <W^k>
+    # the factorial-moment recurrence at K = b = 0 is the Laguerre recurrence
     def test_low_orders(self):
         assert laguerre(0, 3.7) == 1.0
         assert laguerre(1, 3.7) == pytest.approx(1.0 - 3.7)
@@ -81,37 +111,72 @@ class TestLaguerre:
     def test_invalid_order(self):
         system = make_system("even", 1.0, "odd", 0.8)
         for scope in ("compound", "single"):
-            with pytest.raises(ValueError):
-                ca.factorial_moments(system, 0.3, -1, scope=scope)
+            for k in (-1, 2.0, math.nan, "2"):
+                with pytest.raises(ValueError, match="k must be an integer >= 0"):
+                    ca.factorial_moments(system, 0.3, k, scope=scope)
+
+
+def random_system(rng):
+    return ca.System(random_cat(rng), random_cat(rng),
+                     ca.AmplifierParams(g=float(rng.uniform(0.2, 1.5)),
+                                        pump_phase=float(rng.uniform(0, 6)),
+                                        gamma1=float(rng.uniform(0, 2)),
+                                        gamma2=float(rng.uniform(0, 2)),
+                                        nbar1=float(rng.uniform(0, 1)),
+                                        nbar2=float(rng.uniform(0, 1))))
 
 
 class TestGeneratingQuantities:
     def test_root_identities(self, rng):
+        # Delta(u) = 1 + T u + K u^2 is det(I + u Sigma) of the noise covariance,
+        # and one mode's is its own factor 1 + B_jN u
         for _ in range(30):
-            system = ca.System(random_cat(rng), random_cat(rng),
-                               ca.AmplifierParams(g=float(rng.uniform(0.2, 1.5)),
-                                                  pump_phase=float(rng.uniform(0, 6)),
-                                                  gamma1=float(rng.uniform(0, 2)),
-                                                  gamma2=float(rng.uniform(0, 2)),
-                                                  nbar1=float(rng.uniform(0, 1)),
-                                                  nbar2=float(rng.uniform(0, 1))))
-            t = float(rng.uniform(0, 1.2))
+            system = random_system(rng)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                ev = ca.evolve_terms(system, t)
-            coeffs = ev.coeffs
-            lam_p, lam_m, _, _ = ca.generating_quantities(ev)
-            scale = 1.0 + coeffs.B1N + coeffs.B2N
-            assert lam_p + lam_m == pytest.approx(coeffs.B1N + coeffs.B2N, abs=1e-12 * scale)
-            assert lam_p * lam_m == pytest.approx(
-                coeffs.B1N * coeffs.B2N - abs(coeffs.D) ** 2, abs=1e-9 * scale**2)
+                ev = ca.evolve_terms(system, float(rng.uniform(0, 1.2)))
+            c = ev.coeffs
+            sigma = np.array([[c.B1N, c.D], [c.D.conjugate(), c.B2N]])
+            scale = 1.0 + c.B1N + c.B2N
+            for u in (0.3, 1.0, -0.7 + 0.4j, np.exp(2.1j) - 1.0):
+                for mode, block in ((None, sigma), (1, sigma[:1, :1]), (2, sigma[1:, 1:])):
+                    t_coef, k_coef, _, _ = ca.generating_quantities(ev, mode)
+                    det = np.linalg.det(np.eye(len(block)) + u * block)
+                    assert 1.0 + t_coef * u + k_coef * u * u == pytest.approx(
+                        det, abs=1e-12 * scale**2)
+
+    def test_split_matches_the_record(self, rng):
+        # the two thermal channels from B and D, and A_+/- by partial fractions
+        # over the record's drift amplitudes, give back the kernel's a and b
+        for _ in range(10):
+            ev = ca.evolve_terms(random_system(rng), float(rng.uniform(0.05, 1.2)))
+            b1, b2, d = ev.coeffs.B1N, ev.coeffs.B2N, ev.coeffs.D
+            disc = math.sqrt((b1 - b2) ** 2 + 4.0 * abs(d) ** 2)
+            lam_p, lam_m = 0.5 * (b1 + b2 + disc), 0.5 * (b1 + b2 - disc)
+            c1, c2 = ev.ab1 * ev.abp1, ev.ab2 * ev.abp2
+            cross = ev.abp1 * ev.abp2 * d + ev.ab1 * ev.ab2 * d.conjugate()
+            a_plus = -(cross - c1 * (b2 - lam_p) - c2 * (b1 - lam_p)) / disc
+            a_minus = (cross - c1 * (b2 - lam_m) - c2 * (b1 - lam_m)) / disc
+            _, _, a, b = ca.generating_quantities(ev)
+            split = float_split(ev)
+            scale = 1.0 + b1 + b2
+            assert split[:2] == pytest.approx((lam_p, lam_m), abs=1e-12 * scale)
+            assert np.allclose(a, a_plus + a_minus, rtol=1e-12, atol=1e-12)
+            assert np.allclose(b, a_plus * lam_m + a_minus * lam_p, rtol=1e-9, atol=1e-9 * scale)
+            assert np.allclose(split[2], a_plus, rtol=1e-9, atol=1e-9)
+            assert np.allclose(split[3], a_minus, rtol=1e-9, atol=1e-9)
 
     def test_vacuum_undamped_split(self):
-        # thermal weights split as sinh^2 +- sinh*cosh; the lower one is negative
+        # B = sinh^2 and |D| = sinh cosh: T = 2 sinh^2, K = -sinh^2, and the
+        # thermal weights split as sinh^2 +- sinh cosh, the lower one negative
         system = make_system("even", 0.0, "even", 0.0, pump=0.4)
         t = 0.6
-        lam_p, lam_m, _, _ = ca.generating_quantities(ca.evolve_terms(system, t))
+        ev = ca.evolve_terms(system, t)
+        t_coef, k_coef, _, _ = ca.generating_quantities(ev)
         s, c = math.sinh(t), math.cosh(t)
+        assert t_coef == pytest.approx(2.0 * s * s, rel=1e-12)
+        assert k_coef == pytest.approx(-s * s, rel=1e-12)
+        lam_p, lam_m, _, _ = float_split(ev)
         assert lam_p == pytest.approx(s * s + s * c, rel=1e-12)
         assert lam_m == pytest.approx(s * s - s * c, rel=1e-12)
         assert lam_m < 0.0
@@ -119,16 +184,20 @@ class TestGeneratingQuantities:
     def test_t0_reduces_to_initial_amplitudes(self):
         system = make_system("even", 1.1, "yss", 0.8, psi1=0.5)
         ev = ca.evolve_terms(system, 0.0)
-        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
-        assert lam_p == pytest.approx(0.0, abs=1e-12)
-        assert lam_m == pytest.approx(0.0, abs=1e-12)
-        for i in range(16):
-            assert a_plus[i] + a_minus[i] == pytest.approx(
-                -(ev.ab1[i] * ev.abp1[i] + ev.ab2[i] * ev.abp2[i]), abs=1e-12)
+        c1, c2 = ev.ab1 * ev.abp1, ev.ab2 * ev.abp2
+        t_coef, k_coef, a, b = ca.generating_quantities(ev)
+        assert t_coef == pytest.approx(0.0, abs=1e-12)
+        assert k_coef == pytest.approx(0.0, abs=1e-12)
+        assert np.max(np.abs(b)) <= 1e-12
+        assert np.max(np.abs(a + c1 + c2)) <= 1e-12
+        for mode, cj in ((1, c1), (2, c2)):
+            t_coef, k_coef, a, b = ca.generating_quantities(ev, mode)
+            assert (t_coef, k_coef) == pytest.approx((0.0, 0.0), abs=1e-12)
+            assert np.array_equal(a, -cj) and not np.any(b)
 
     def test_matches_direct_gaussian_integral(self, rng):
-        # the generating function evaluated through lambda/A equals the
-        # closed 4-dimensional Gaussian integral of the characteristic function
+        # the generating function in determinant form equals the closed
+        # 4-dimensional Gaussian integral of the characteristic function
         system = ca.System(random_cat(rng, 1.4), random_cat(rng, 1.4),
                            ca.AmplifierParams(g=0.9, pump_phase=1.9,
                                               gamma1=0.7, gamma2=0.3,
@@ -136,17 +205,13 @@ class TestGeneratingQuantities:
         t = 0.52
         ev = ca.evolve_terms(system, t)
         coeffs = ev.coeffs
-        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+        t_coef, k_coef, a, b = ca.generating_quantities(ev)
         for i in range(6):
             pref, ab1, ab2, abp1, abp2 = (ev.prefactor[i], ev.ab1[i], ev.ab2[i],
                                           ev.abp1[i], ev.abp2[i])
             for lam in (0.35, 1.0):
-                via_split = (
-                    pref
-                    / ((1 + lam * lam_p) * (1 + lam * lam_m))
-                    * np.exp(a_plus[i] * lam / (1 + lam * lam_p)
-                             + a_minus[i] * lam / (1 + lam * lam_m))
-                )
+                delta = 1.0 + t_coef * lam + k_coef * lam * lam
+                via_det = pref / delta * np.exp(lam * (a[i] + b[i] * lam) / delta)
                 # real 4x4 Gaussian: zeta_j = x_j + i y_j
                 m = np.zeros((4, 4))
                 m[0, 0] = m[1, 1] = 1.0 / lam + coeffs.B1N
@@ -160,15 +225,15 @@ class TestGeneratingQuantities:
                     [-d.imag, -d.real, 0, 0],
                 ])
                 m -= quad
-                b = np.array([ab1 - abp1, 1j * (ab1 + abp1),
-                              ab2 - abp2, 1j * (ab2 + abp2)])
-                sol = np.linalg.solve(m, b)
+                vec = np.array([ab1 - abp1, 1j * (ab1 + abp1),
+                                ab2 - abp2, 1j * (ab2 + abp2)])
+                sol = np.linalg.solve(m, vec)
                 direct = (
                     pref
                     / (lam**2 * math.sqrt(np.linalg.det(m)))
-                    * np.exp(0.25 * np.dot(b, sol))
+                    * np.exp(0.25 * np.dot(vec, sol))
                 )
-                assert via_split == pytest.approx(direct, rel=1e-9)
+                assert via_det == pytest.approx(direct, rel=1e-9)
 
 
 class TestLadder:
@@ -242,6 +307,25 @@ class TestSumPnd:
         assert np.max(np.abs(si)) < 1e-15
         assert np.max(np.abs(ai)) < 1e-3 * dist.probs.max()
 
+    def test_n_max_must_be_a_nonnegative_integer(self):
+        system = make_system("even", 1.0, "odd", 0.8)
+        for n_max in (-1, 2.5, 40.0, math.nan, "40"):
+            with pytest.raises(ValueError, match="n_max must be an integer >= 0"):
+                ca.sum_pnd(system, 0.3, n_max=n_max)
+            for mode in (1, 2):
+                with pytest.raises(ValueError, match="n_max must be an integer >= 0"):
+                    ca.single_pnd(mode, system, 0.3, n_max=n_max)
+        assert ca.sum_pnd(system, 0.3, n_max=np.int64(40)).n_max == 40
+
+    def test_exhausted_growth_returns_the_last_truncation(self, monkeypatch):
+        # when no automatic truncation reaches the tail target, the returned
+        # n_max is the one the probabilities were computed at
+        monkeypatch.setattr(photon_stats, "_AUTO_TAIL_TARGET", -1.0)
+        system = make_system("even", 1.0, "odd", 0.8)
+        for dist in (ca.sum_pnd(system, 0.3), ca.single_pnd(1, system, 0.3)):
+            assert len(dist.probs) == dist.n_max + 1
+            assert dist.total == pytest.approx(1.0, abs=1e-12)
+
     def test_truncation_warning(self):
         system = make_system("even", 1.5, "even", 1.0)
         with pytest.warns(TruncationWarning):
@@ -254,7 +338,7 @@ class TestSumPnd:
         system = make_system("even", 0.8, "even", 0.8, pump=np.pi / 2)
         t = 0.3
         ev = ca.evolve_terms(system, t)
-        lp, lm, a_plus, a_minus = ca.generating_quantities(ev)
+        lp, lm, a_plus, a_minus = float_split(ev)
         dp, dm = 1.0 + lp, 1.0 + lm
         n_max = 30
         wrong = np.zeros(n_max + 1)
@@ -356,7 +440,7 @@ class TestFactorialMoments:
         # Poissonian factorial moments before any evolution; row 0 is the
         # diagonal coherent element |1.3>|0.9><0.9|<1.3|
         system = ca.System(ca.CatSpec.even(1.3), ca.CatSpec.even(0.9), ca.AmplifierParams(g=1.0))
-        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ca.evolve_terms(system, 0.0))
+        lam_p, lam_m, a_plus, a_minus = float_split(ca.evolve_terms(system, 0.0))
         mean = 1.3**2 + 0.9**2
         for k in (1, 2, 3, 5):
             lp = _ladder(complex(lam_p), a_plus[0], 0j, k)
@@ -399,7 +483,7 @@ class TestFactorialMoments:
 def direct_sum_parts(system, t, n_max):
     """Class parts of P(n1 + n2): per-row ladders and np.convolve over all 16 rows."""
     ev = ca.evolve_terms(system, t)
-    lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+    lam_p, lam_m, a_plus, a_minus = float_split(ev)
     dp, dm = 1.0 + lam_p, 1.0 + lam_m
     parts = {kind: np.zeros(n_max + 1, dtype=complex) for kind in ca.TermClass}
     for i in range(16):
@@ -426,7 +510,7 @@ def direct_single(mode, system, t, n_max):
 
 def direct_factorial(system, t, k, scope, mode=1):
     ev = ca.evolve_terms(system, t)
-    lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+    lam_p, lam_m, a_plus, a_minus = float_split(ev)
     total = 0j
     for i in range(16):
         if scope == "compound":
@@ -484,10 +568,10 @@ class TestPairedKernel:
     @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
     def test_parity_partners_share_quadratic_quantities(self, label, system, t):
         ev = ca.evolve_terms(system, t)
-        _, _, a_plus, a_minus = ca.generating_quantities(ev)
+        weights = [ca.generating_quantities(ev, mode)[2:] for mode in (None, 1, 2)]
 
         def bits(i):
-            values = [a_plus[i], a_minus[i], _row_c1(ev, i, 1), _row_c1(ev, i, 2)]
+            values = [w[i] for pair in weights for w in pair]
             return np.array(values, dtype=complex).view(np.uint64).tolist()
 
         for i in range(16):
@@ -523,17 +607,17 @@ class TestGeneratingFunctionKernel:
             assert np.max(np.abs(small.probs - large.probs[: m + 1])) <= 1e-15
 
     def test_class_parts_match_a_40_digit_convolution(self):
-        # the same lambda_+/-, A_+/- and paired prefactors, carried through
-        # 40-digit ladders and a direct convolution at a few n
+        # the kernel's own T, K, a, b split into lambda_+/-, A_+/- and, with the
+        # paired prefactors, carried through 40-digit ladders and a direct
+        # convolution at a few n
         ev = ca.evolve_terms(STRONG, STRONG_T)
-        lam_p, lam_m, a_plus, a_minus = ca.generating_quantities(ev)
+        lam_p, lam_m, a_plus, a_minus = eigen_split(ev)
         dist = ca.sum_pnd(STRONG, STRONG_T)
         ns = (1000, 3000, 10000)
         with mpmath.workdps(40):
 
             def ladder(lam, a):
                 # e^{A/(1+lam)} x^m L_m(y), x = lam/(1+lam), x y = A/(1+lam)^2
-                lam, a = mpmath.mpf(lam), mpmath.mpc(a)
                 den = 1 + lam
                 x, xy = lam / den, a / den**2
                 prev, cur = mpmath.mpf(1), x - xy
@@ -588,6 +672,89 @@ def test_ladder_matches_mpmath_through_renormalizations():
     assert np.all(np.abs(got[~shown]) < 1e-280)
 
 
+# --- a 50-digit power-series reference near the degenerate noise covariance ------------
+
+
+def mp_rows(ev, mode):
+    """T, K and the 16 rows' (p, a, b) from the float record, in mpmath."""
+    c = ev.coeffs
+    b1, b2, d = mpmath.mpf(c.B1N), mpmath.mpf(c.B2N), mpmath.mpc(c.D)
+    rows = []
+    for i in range(16):
+        ab1, ab2, abp1, abp2 = (mpmath.mpc(x[i]) for x in (ev.ab1, ev.ab2, ev.abp1, ev.abp2))
+        c1, c2 = ab1 * abp1, ab2 * abp2
+        if mode is None:
+            cross = abp1 * abp2 * d + ab1 * ab2 * mpmath.conj(d)
+            rows.append((mpmath.mpc(ev.prefactor[i]), -(c1 + c2), cross - c1 * b2 - c2 * b1))
+        else:
+            rows.append((mpmath.mpc(ev.prefactor[i]), -(c1 if mode == 1 else c2), 0))
+    if mode is None:
+        return b1 + b2, b1 * b2 - abs(d) ** 2, rows
+    return (b1 if mode == 1 else b2), 0, rows
+
+
+def mp_series(den, num, n):
+    """Coefficients 0..n of exp(num(x) / den(x)) / den(x) for quadratics den, num:
+    1/den by its own recurrence, exp by the J.C.P. Miller recurrence, then their product."""
+    inv = [1 / den[0]]
+    for m in range(1, n + 1):
+        inv.append(-(den[1] * inv[m - 1] + (den[2] * inv[m - 2] if m > 1 else 0)) / den[0])
+    expo = [sum(num[j] * inv[m - j] for j in range(3) if j <= m) for m in range(n + 1)]
+    ex = [mpmath.exp(expo[0])]
+    for m in range(1, n + 1):
+        ex.append(sum(j * expo[j] * ex[m - j] for j in range(1, m + 1)) / m)
+    return [sum(ex[j] * inv[m - j] for j in range(m + 1)) for m in range(n + 1)]
+
+
+def mp_factorial_moments(ev, ks, mode):
+    """<W^k> for k in ks: k! [v^k] of G(1 + v) = exp(-v (a - b v) / P) / P, P = 1 - T v + K v^2."""
+    with mpmath.workdps(50):
+        t_coef, k_coef, rows = mp_rows(ev, mode)
+        total = [0] * (max(ks) + 1)
+        for p, a, b in rows:
+            coefs = mp_series((1, -t_coef, k_coef), (0, -a, b), max(ks))
+            total = [x + p * y for x, y in zip(total, coefs)]
+        return [float(mpmath.re(ev.norm * total[k]) * mpmath.factorial(k)) for k in ks]
+
+
+def mp_sum_pnd(ev, n_max):
+    """P(0..n_max) of n1 + n2: [s^n] of exp(u (a + b u) / Delta(u)) / Delta(u), u = 1 - s."""
+    with mpmath.workdps(50):
+        t_coef, k_coef, rows = mp_rows(ev, None)
+        den = (1 + t_coef + k_coef, -(t_coef + 2 * k_coef), k_coef)
+        total = [0] * (n_max + 1)
+        for p, a, b in rows:
+            coefs = mp_series(den, (a + b, -(a + 2 * b), b), n_max)
+            total = [x + p * y for x, y in zip(total, coefs)]
+        return np.array([float(mpmath.re(ev.norm * x)) for x in total])
+
+
+# equal losses and reservoirs with a weak pump: the noise covariance is nearly
+# a multiple of the identity, so its two eigenvalues nearly coincide
+NEAR_DEGENERATE = [ca.System(ca.CatSpec.even(1.1), ca.CatSpec.odd(0.8),
+                             ca.AmplifierParams(g=g, gamma1=0.5, gamma2=0.5,
+                                                nbar1=0.3, nbar2=0.3)) for g in (1e-6, 1e-9)]
+
+
+@pytest.mark.parametrize("system", NEAR_DEGENERATE, ids=["g1e-6", "g1e-9"])
+class TestNearDegenerateCovariance:
+    t = 0.7
+
+    def test_factorial_moments_match_a_50_digit_series(self, system):
+        ev = ca.evolve_terms(system, self.t)
+        ks = (5, 20, 64)
+        for scope, mode in (("compound", None), ("single", 1), ("single", 2)):
+            ref = mp_factorial_moments(ev, ks, mode)
+            got = [ca.factorial_moments(system, self.t, k, scope=scope, mode=mode or 1)[0]
+                   for k in ks]
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_sum_pnd_matches_a_50_digit_series(self, system):
+        dist = ca.sum_pnd(system, self.t)
+        ref = mp_sum_pnd(ca.evolve_terms(system, self.t), dist.n_max)
+        assert np.max(np.abs(dist.probs - ref)) <= 1e-14 * np.max(ref)
+
+
 # --- property-based invariants of the auto-truncated sum distribution -------------------
 
 
@@ -609,6 +776,18 @@ def test_sum_pnd_invariants(cat1, cat2, params, t):
     assert -1e-8 * max(1.0, expect) <= deficit <= 1e-8 * max(1.0, expect) + tail_moment
     for mine, theirs in zip(marginals, swapped_marginals):
         assert np.max(np.abs(mine.probs - theirs.probs)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(cat1=cats, cat2=cats, params=amplifiers, t=st.floats(0.0, 1.0))
+def test_uncoupled_modes_convolve(cat1, cat2, params, t):
+    # at g = 0 each mode evolves alone, so the sum distribution is the
+    # convolution of the two marginals, for any losses and reservoirs
+    system = ca.System(cat1, cat2, dataclasses.replace(params, g=0.0))
+    dist = ca.sum_pnd(system, t)
+    p1, p2 = (ca.single_pnd(mode, system, t, n_max=dist.n_max).probs for mode in (1, 2))
+    conv = np.convolve(p1, p2)[: dist.n_max + 1]
+    assert np.max(np.abs(dist.probs - conv)) <= 1e-14 * np.max(dist.probs)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
