@@ -3,8 +3,8 @@
 Each density-operator term contributes a Gaussian-times-linear exponential in
 (zeta1, zeta2); the full function is the weighted 16-term sum, evaluated on
 all rows of the evolved term record (coeffs.evolve_terms) at once.  Moments are
-obtained by exact polynomial differentiation of the quadratic exponent, so no
-numerical differentiation enters the production path.
+Gaussian moments of each row, summed over pairings by Isserlis' theorem, so
+no numerical differentiation enters the production path.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ class OrderTooHigh(ValueError):
     """Requested moment order exceeds the implemented closed-form bound."""
 
 
+# the partial pairings of the differentiated variables grow like the telephone
+# numbers (T(20) ~ 2.4e10), so the order cap also keeps a request from hanging
 MAX_MOMENT_ORDER = 4
 
 
@@ -48,50 +50,34 @@ def char_full(system: System, t: float, zeta1: complex, zeta2: complex) -> compl
 
 # --- moment extraction ------------------------------------------------------
 #
-# Variables are indexed 0..3 = (zeta1, zeta1*, zeta2, zeta2*).  The per-term
-# exponent Q is quadratic, so repeated application of
-#     d/dv (P * e^Q) = (dP/dv + P * dQ/dv) * e^Q
-# keeps P polynomial; evaluating at zeta = 0 picks out P's constant term.
-
-_QUAD_PARTNERS = {
-    0: ((1, "mB1"), (2, "D")),
-    1: ((0, "mB1"), (3, "Dc")),
-    2: ((3, "mB2"), (0, "D")),
-    3: ((2, "mB2"), (1, "Dc")),
-}
+# With the variables w = (zeta1, -zeta1*, zeta2, -zeta2*) a row's exponent is
+#     sum_i mean[i] w_i + sum_{i<j} pair[i, j] w_i w_j,
+# a Gaussian times a linear exponential.  Its derivatives at w = 0 are
+# Gaussian moments, so by Isserlis' (Wick's) theorem each is a sum over the
+# partial pairings of the differentiated variables.
 
 
-def _derive(poly, var, lin, quad, sign):
-    out: dict[tuple, np.ndarray] = {}
-
-    def add(mono, coef):
-        out[mono] = out[mono] + coef if mono in out else coef
-
-    for mono, coef in poly.items():
-        c = sign * coef
-        if mono[var] > 0:
-            lower = list(mono)
-            lower[var] -= 1
-            add(tuple(lower), c * mono[var])
-        add(mono, c * lin[var])
-        for partner, key in _QUAD_PARTNERS[var]:
-            raised = list(mono)
-            raised[partner] += 1
-            add(tuple(raised), c * quad[key])
-    return out
+def _isserlis(variables: tuple, mean: tuple, pair: dict):
+    """Sum over the partial pairings of variables (sorted ascending): a lone
+    variable v contributes mean[v], a pair (u, v) contributes pair[u, v]
+    (zero for pairs that are not keys)."""
+    if not variables:
+        return 1.0
+    first, rest = variables[0], variables[1:]
+    total = mean[first] * _isserlis(rest, mean, pair)
+    for k, other in enumerate(rest):
+        if (first, other) in pair:
+            total = total + pair[first, other] * _isserlis(rest[:k] + rest[k + 1:], mean, pair)
+    return total
 
 
 def _moment_terms(orders, ev: EvolvedTerms) -> np.ndarray:
     """The 16 rows' contributions to one normally ordered moment."""
-    m1, n1, m2, n2 = orders
     c = ev.coeffs
-    lin = (ev.ab1, -ev.abp1, ev.ab2, -ev.abp2)
-    quad = {"mB1": -c.B1N, "mB2": -c.B2N, "D": c.D, "Dc": c.D.conjugate()}
-    poly = {(0, 0, 0, 0): np.ones(16, dtype=complex)}
-    for var, count, sign in ((0, m1, 1), (1, n1, -1), (2, m2, 1), (3, n2, -1)):
-        for _ in range(count):
-            poly = _derive(poly, var, lin, quad, sign)
-    return poly[(0, 0, 0, 0)] * ev.prefactor
+    variables = tuple(var for var, count in enumerate(orders) for _ in range(count))
+    mean = (ev.ab1, ev.abp1, ev.ab2, ev.abp2)
+    pair = {(0, 1): c.B1N, (2, 3): c.B2N, (0, 2): c.D, (1, 3): c.D.conjugate()}
+    return _isserlis(variables, mean, pair) * ev.prefactor
 
 
 def moment(m1: int, n1: int, m2: int, n2: int, system: System, t: float) -> complex:

@@ -117,31 +117,35 @@ def _auto_n_max(ev: EvolvedTerms, mode: int | None) -> int:
     return max(int(math.ceil(mean + 8.0 * math.sqrt(var + 1.0))), 31) + 1
 
 
-# auto-truncation targets a tail well below the normalization tolerance
+# auto-truncation targets a tail well below the normalization tolerance, and
+# never grows past the cap (44x figure 6's 23 924); explicit n_max is uncapped
 _AUTO_TAIL_TARGET = 1e-9
 _AUTO_GROWTH_TRIES = 4
+_AUTO_N_MAX_CAP = 2**20
 
 
 def _pnd(system: System, t: float, n_max, mode: int | None):
     """P(n), the real class parts (one part, None, for one mode) and n_max.
 
     Automatic truncation grows n_max until the tail drops below the target
-    (thermal tails can outlive the variance margin).
+    (thermal tails can outlive the variance margin) or n_max reaches the cap.
     """
     ev = evolve_terms(system, t)
     t_coef, k_coef, a, b = generating_quantities(ev, mode)
     kinds, order = (ev.kind[:8], TermClass) if mode is None else ((None,) * 8, (None,))
     rows = list(zip(kinds, _paired_prefactors(ev), a[:8].tolist(), b[:8].tolist()))
-    tries = _AUTO_GROWTH_TRIES if n_max is None else 1
-    n_max = _auto_n_max(ev, mode) if n_max is None else _count("n_max", n_max)
+    if n_max is None:
+        tries, n_max = _AUTO_GROWTH_TRIES, min(_auto_n_max(ev, mode), _AUTO_N_MAX_CAP)
+    else:
+        tries, n_max = 1, _count("n_max", n_max)
     for attempt in range(tries):
         if attempt:
-            n_max = int(1.7 * n_max) + 50
+            n_max = min(int(1.7 * n_max) + 50, _AUTO_N_MAX_CAP)
         coeffs = _real_coefficients(t_coef, k_coef, rows, n_max)
         parts = {kind: ev.norm * coeffs[kind] for kind in order}
         probs = reduce(np.add, parts.values())
         tail = 1.0 - float(np.sum(probs))
-        if tail <= _AUTO_TAIL_TARGET:
+        if tail <= _AUTO_TAIL_TARGET or n_max == _AUTO_N_MAX_CAP:
             break
     if tail > TAIL_TOL:
         warnings.warn(f"photon-number tail mass {tail:.3e} exceeds {TAIL_TOL:.0e}; "

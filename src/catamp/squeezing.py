@@ -1,10 +1,10 @@
 """Quadrature squeezing factors for single and compound modes.
 
 Factors are normalized so that vacuum gives S = Q = 0 and negative values
-mean fluctuations below the vacuum level: for a single mode with quadratures
-X = (A + A+)/2, Y = (A - A+)/(2i) the factors are the variances minus 1/4;
-for the compound quadratures (half-sums over both modes) the variances are
-halved before subtracting 1/4.  With this scale the compound Y factor of a
+mean fluctuations below the vacuum level: for an operator C with
+c = [C, C+] and quadratures X = (C + C+)/2, Y = (C - C+)/(2i) the factors
+are the variances divided by c, minus 1/4.  One mode is C = A_j (c = 1), the
+compound mode C = A1 + A2 (c = 2).  With this scale the compound Y factor of a
 real-amplitude, zero-pump-phase configuration decomposes exactly into the
 mean of the two single-mode factors.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .charfn import moment
 from .coeffs import coeffs_at
-from .params import AmplifierParams, CatSpec, System
+from .params import AmplifierParams, CatSpec, System, _finite
 
 
 class DomainError(ValueError):
@@ -31,31 +31,25 @@ class SqueezeFactors:
     Q: float
 
 
-def _single_mode_variances(system: System, t: float, mode: int) -> tuple[float, float]:
-    if mode == 1:
-        m = lambda m1, n1: moment(m1, n1, 0, 0, system, t)  # noqa: E731
-    else:
-        m = lambda m1, n1: moment(0, 0, m1, n1, system, t)  # noqa: E731
-    a = m(0, 1)
-    a2 = m(0, 2)
-    n = m(1, 1)
-    re_a2 = a2.real
-    mean_sq = n.real  # <A+ A>
-    vx = 0.25 * (1.0 + 2.0 * mean_sq + 2.0 * re_a2) - a.real**2
-    vy = 0.25 * (1.0 + 2.0 * mean_sq - 2.0 * re_a2) - a.imag**2
-    return vx, vy
+def _factors(mean: complex, sq: complex, n: float, c: float) -> SqueezeFactors:
+    """Factors of an operator C from <C>, <C^2>, <C+ C> and c = [C, C+]:
+    each quadrature variance of C divided by c, minus 1/4."""
+    vx = 0.25 * (c + 2.0 * n + 2.0 * sq.real) - mean.real**2
+    vy = 0.25 * (c + 2.0 * n - 2.0 * sq.real) - mean.imag**2
+    return SqueezeFactors(S=vx / c - 0.25, Q=vy / c - 0.25)
 
 
 def single_mode_squeezing(mode: int, system: System, t: float) -> SqueezeFactors:
     """Squeezing factors of one mode (1 = signal, 2 = idler)."""
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    vx, vy = _single_mode_variances(system, t, mode)
-    return SqueezeFactors(S=vx - 0.25, Q=vy - 0.25)
+    a, sq, n = (moment(*((m, k, 0, 0) if mode == 1 else (0, 0, m, k)), system, t)
+                for m, k in ((0, 1), (0, 2), (1, 1)))
+    return _factors(a, sq, n.real, 1.0)
 
 
 def two_mode_squeezing(system: System, t: float) -> SqueezeFactors:
-    """Squeezing factors of the compound quadratures of both modes."""
+    """Squeezing factors of the compound mode C = A1 + A2 ([C, C+] = 2)."""
     a1 = moment(0, 1, 0, 0, system, t)
     a2 = moment(0, 0, 0, 1, system, t)
     sq1 = moment(0, 2, 0, 0, system, t)
@@ -64,26 +58,8 @@ def two_mode_squeezing(system: System, t: float) -> SqueezeFactors:
     n2 = moment(0, 0, 1, 1, system, t)
     a1a2 = moment(0, 1, 0, 1, system, t)
     a1d_a2 = moment(1, 0, 0, 1, system, t)
-    # <(A1+A2+A1+ +A2+)^2> = sum_j (A_j^2 + h.c. + 2 n_j + 1) + 2(A1A2 + h.c. + A1+A2 + h.c.)
-    sum_sq = (
-        2.0 * (sq1.real + sq2.real)
-        + 2.0 * (n1.real + n2.real)
-        + 2.0
-        + 4.0 * a1a2.real
-        + 4.0 * a1d_a2.real
-    )
-    mean_x = a1.real + a2.real
-    vx = 0.25 * sum_sq - mean_x**2
-    diff_sq = (
-        2.0 * (sq1.real + sq2.real)
-        - 2.0 * (n1.real + n2.real)
-        - 2.0
-        + 4.0 * a1a2.real
-        - 4.0 * a1d_a2.real
-    )
-    mean_y = a1.imag + a2.imag
-    vy = -0.25 * diff_sq - mean_y**2
-    return SqueezeFactors(S=0.5 * vx - 0.25, Q=0.5 * vy - 0.25)
+    return _factors(a1 + a2, sq1 + sq2 + 2.0 * a1a2,
+                    n1.real + n2.real + 2.0 * a1d_a2.real, 2.0)
 
 
 # --- specialized closed forms for real-amplitude configurations -------------
@@ -101,37 +77,38 @@ def _f_odd(x: float) -> float:
     return x * (2.0 / math.expm1(2.0 * x))
 
 
-def _coeff_triplet(params: AmplifierParams, t: float) -> tuple[float, float, float]:
+def _squares(alpha1: float, alpha2: float) -> tuple[float, float]:
+    """The squared amplitudes; ValueError naming an amplitude that is not finite."""
+    return _finite("alpha1", alpha1) ** 2, _finite("alpha2", alpha2) ** 2
+
+
+def _q_factor(params: AmplifierParams, t: float, signal: float, idler: float) -> float:
+    """Signal Y factor (B1N + f1^2 * signal + |f2|^2 * idler) / 2 from the signal
+    cat's noise function and the idler's term."""
     c = coeffs_at(params, t)
-    return c.B1N, c.f1, abs(c.f2)
+    return 0.5 * (c.B1N + c.f1**2 * signal + abs(c.f2) ** 2 * idler)
 
 
 def q_factor_even_even(alpha1: float, alpha2: float, params: AmplifierParams, t: float) -> float:
     """Signal Y factor for (even, even) input with real amplitudes."""
-    b1n, f1, f2m = _coeff_triplet(params, t)
-    x1, x2 = alpha1**2, alpha2**2
-    return 0.5 * (b1n + x1 * f1**2 * (math.tanh(x1) - 1.0)
-                  + x2 * f2m**2 * (math.tanh(x2) + math.cos(2.0 * params.pump_phase)))
+    x1, x2 = _squares(alpha1, alpha2)
+    return _q_factor(params, t, _f_even(x1),
+                     x2 * (math.tanh(x2) + math.cos(2.0 * params.pump_phase)))
 
 
 def q_factor_odd_even(alpha1: float, alpha2: float, params: AmplifierParams, t: float) -> float:
     """Signal Y factor for (odd, even) input with real amplitudes."""
-    b1n, f1, f2m = _coeff_triplet(params, t)
-    x1, x2 = alpha1**2, alpha2**2
-    if x1 == 0.0:
-        raise DomainError("odd signal cat is singular at zero amplitude")
-    coth = 1.0 + 2.0 / math.expm1(2.0 * x1)
-    return 0.5 * (b1n + x1 * f1**2 * (coth - 1.0)
-                  + x2 * f2m**2 * (math.tanh(x2) + math.cos(2.0 * params.pump_phase)))
+    x1, x2 = _squares(alpha1, alpha2)
+    return _q_factor(params, t, _f_odd(x1),
+                     x2 * (math.tanh(x2) + math.cos(2.0 * params.pump_phase)))
 
 
 def q_factor_even_yurke(alpha1: float, alpha2: float, params: AmplifierParams, t: float) -> float:
     """Signal Y factor for (even, Yurke-Stoler) input with real amplitudes."""
-    b1n, f1, f2m = _coeff_triplet(params, t)
-    x1, x2 = alpha1**2, alpha2**2
+    x1, x2 = _squares(alpha1, alpha2)
     phi = params.pump_phase
     idler = 1.0 + math.cos(2.0 * phi) - 2.0 * math.exp(-4.0 * x2) * math.sin(phi) ** 2
-    return 0.5 * (b1n + x1 * f1**2 * (math.tanh(x1) - 1.0) + x2 * f2m**2 * idler)
+    return _q_factor(params, t, _f_even(x1), x2 * idler)
 
 
 # --- squeezing-survival bounds ----------------------------------------------
@@ -150,6 +127,7 @@ def squeeze_survival_time(cat1: CatSpec, cat2: CatSpec, g: float) -> float | Non
     """Time up to which the signal's initial Y squeezing survives (undamped,
     pump phase pi/2).  Returns None when there is no initial squeezing to
     survive (the bound would be imaginary)."""
+    g = _finite("g", g)
     if g <= 0.0:
         raise ValueError("g must be > 0")
     f1 = _cat_noise_fn(cat1)
@@ -169,13 +147,8 @@ def two_mode_squeeze_time_bound(alpha1: float, alpha2: float) -> float | None:
     Returns None when the configuration is never squeezed; the odd cat at
     zero amplitude is rejected.
     """
-    if alpha2 == 0.0:
-        raise DomainError("odd idler cat is singular at zero amplitude")
-    x1, x2 = alpha1**2, alpha2**2
-    tanh1 = math.tanh(x1)
-    coth2 = 1.0 + 2.0 / math.expm1(2.0 * x2)
-    num = -x1 * (tanh1 - 1.0) - x2 * (coth2 - 1.0)
-    den = 2.0 * (1.0 + x1 * tanh1 + x2 * coth2)
-    if num < 0.0:
+    x1, x2 = _squares(alpha1, alpha2)
+    noise = _f_even(x1) + _f_odd(x2)
+    if noise > 0.0:
         return None
-    return math.asinh(math.sqrt(num / den))
+    return math.asinh(math.sqrt(-noise / (2.0 * (1.0 + x1 + x2 + noise))))

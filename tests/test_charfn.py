@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,53 @@ from catamp import oracle
 from catamp.charfn import _char_terms
 
 from conftest import make_system, random_cat
+
+
+# --- reference: moments by polynomial differentiation of the exponent -----------
+#
+# Variables are indexed 0..3 = (zeta1, zeta1*, zeta2, zeta2*).  The per-term
+# exponent Q is quadratic, so repeated application of
+#     d/dv (P * e^Q) = (dP/dv + P * dQ/dv) * e^Q
+# keeps P polynomial; evaluating at zeta = 0 picks out P's constant term.
+
+_QUAD_PARTNERS = {
+    0: ((1, "mB1"), (2, "D")),
+    1: ((0, "mB1"), (3, "Dc")),
+    2: ((3, "mB2"), (0, "D")),
+    3: ((2, "mB2"), (1, "Dc")),
+}
+
+
+def _derive(poly, var, lin, quad, sign):
+    out = {}
+
+    def add(mono, coef):
+        out[mono] = out[mono] + coef if mono in out else coef
+
+    for mono, coef in poly.items():
+        c = sign * coef
+        if mono[var] > 0:
+            lower = list(mono)
+            lower[var] -= 1
+            add(tuple(lower), c * mono[var])
+        add(mono, c * lin[var])
+        for partner, key in _QUAD_PARTNERS[var]:
+            raised = list(mono)
+            raised[partner] += 1
+            add(tuple(raised), c * quad[key])
+    return out
+
+
+def derived_moment_rows(orders, ev):
+    """The 16 rows' contributions to one normally ordered moment."""
+    c = ev.coeffs
+    lin = (ev.ab1, -ev.abp1, ev.ab2, -ev.abp2)
+    quad = {"mB1": -c.B1N, "mB2": -c.B2N, "D": c.D, "Dc": c.D.conjugate()}
+    poly = {(0, 0, 0, 0): np.ones(16, dtype=complex)}
+    for var, count, sign in zip(range(4), orders, (1, -1, 1, -1)):
+        for _ in range(count):
+            poly = _derive(poly, var, lin, quad, sign)
+    return poly[(0, 0, 0, 0)] * ev.prefactor
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +234,26 @@ class TestMoments:
         # <A2+ A2>
         fd = -d_z(d_zc(c, 1), 1)(0j, 0j)
         assert fd == pytest.approx(ca.moment(0, 0, 1, 1, system, t), rel=1e-6)
+
+    def test_isserlis_matches_polynomial_differentiation(self, rng):
+        # every order <= 4 on damped systems, within 1e-15 of the rows' scale
+        orders = [o for o in itertools.product(range(5), repeat=4)
+                  if sum(o) <= ca.MAX_MOMENT_ORDER]
+        assert len(orders) == 70
+        for _ in range(20):
+            system = ca.System(random_cat(rng), random_cat(rng),
+                               ca.AmplifierParams(g=float(rng.uniform(0.2, 1.5)),
+                                                  pump_phase=float(rng.uniform(0, 6)),
+                                                  gamma1=float(rng.uniform(0, 2)),
+                                                  gamma2=float(rng.uniform(0, 2)),
+                                                  nbar1=float(rng.uniform(0, 1)),
+                                                  nbar2=float(rng.uniform(0, 1))))
+            t = float(rng.uniform(0, 1.2))
+            ev = ca.evolve_terms(system, t)
+            for order in orders:
+                rows = ev.norm * derived_moment_rows(order, ev)
+                got = ca.moment(*order, system, t)
+                assert abs(got - sum(rows.tolist())) <= 1e-15 * np.sum(np.abs(rows))
 
     def test_fourth_order_matches_oracle(self, evolved_pair):
         system, t, evolved = evolved_pair

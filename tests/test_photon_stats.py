@@ -326,6 +326,15 @@ class TestSumPnd:
             assert len(dist.probs) == dist.n_max + 1
             assert dist.total == pytest.approx(1.0, abs=1e-12)
 
+    def test_automatic_truncation_is_capped(self):
+        # a strongly amplified signal asks for millions of photon numbers; the
+        # automatic choice stops at the cap and the tail is reported instead
+        system = ca.System(ca.CatSpec.even(2.0), ca.CatSpec.odd(1.5), ca.AmplifierParams(g=1.0))
+        with pytest.warns(TruncationWarning):
+            dist = ca.single_pnd(1, system, 6.0)
+        assert dist.n_max == photon_stats._AUTO_N_MAX_CAP == 2**20
+        assert len(dist.probs) == dist.n_max + 1
+
     def test_truncation_warning(self):
         system = make_system("even", 1.5, "even", 1.0)
         with pytest.warns(TruncationWarning):

@@ -78,6 +78,18 @@ class TestSingleMode:
                 q = ca.q_factor_odd_even(
                     a1, 1.0, ca.AmplifierParams(g=1.0, pump_phase=np.pi / 2), float(t))
                 assert q >= -1e-12
+        # the odd cat at zero amplitude is the zero vector
+        with pytest.raises(ca.DomainError):
+            ca.q_factor_odd_even(0.0, 1.0, ca.AmplifierParams(g=1.0), 0.3)
+
+    def test_closed_forms_reject_non_finite_amplitudes(self):
+        params = ca.AmplifierParams(g=1.0, pump_phase=0.4)
+        for q_factor in (ca.q_factor_even_even, ca.q_factor_odd_even, ca.q_factor_even_yurke):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="alpha1 must be finite"):
+                    q_factor(bad, 1.0, params, 0.3)
+                with pytest.raises(ValueError, match="alpha2 must be finite"):
+                    q_factor(1.0, bad, params, 0.3)
 
     def test_matches_oracle(self):
         system = ca.System(ca.CatSpec.even(1.0, 0.2), ca.CatSpec.odd(0.8, 1.0),
@@ -146,6 +158,15 @@ class TestSurvivalTime:
     def test_yurke_stoler_rejected(self):
         with pytest.raises(ValueError):
             ca.squeeze_survival_time(ca.CatSpec.yurke_stoler(1.0), ca.CatSpec.even(1.0), 1.0)
+
+    def test_bad_gain_rejected(self):
+        cat1, cat2 = ca.CatSpec.even(0.8), ca.CatSpec.even(1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="g must be finite"):
+                ca.squeeze_survival_time(cat1, cat2, bad)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="g must be > 0"):
+                ca.squeeze_survival_time(cat1, cat2, bad)
 
 
 class TestTwoMode:
@@ -234,6 +255,13 @@ class TestTimeBound:
     def test_odd_zero_amplitude_rejected(self):
         with pytest.raises(ca.DomainError):
             ca.two_mode_squeeze_time_bound(1.0, 0.0)
+
+    def test_non_finite_amplitudes_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha1 must be finite"):
+                ca.two_mode_squeeze_time_bound(bad, 1.0)
+            with pytest.raises(ValueError, match="alpha2 must be finite"):
+                ca.two_mode_squeeze_time_bound(1.0, bad)
 
     def test_bound_brackets_sign_change(self):
         # compound Q changes sign across the bound for the reference point
