@@ -43,6 +43,10 @@ _ESCALATED = (TruncationWarning, SupportWarning)
 
 
 _CAT_KINDS = {"even": 0.0, "odd": math.pi, "yurke_stoler": math.pi / 2}
+_GRID_FIELDS = tuple(f.name for f in fields(GridSpec))
+# (field, values) per scan axis; the second axis is optional
+_SCAN_AXES = (("parameter", "values"), ("parameter2", "values2"))
+_SCAN_FIELDS = tuple(itertools.chain(*_SCAN_AXES))
 
 
 def _number(value, where: str, kind=float):
@@ -62,14 +66,26 @@ def _number(value, where: str, kind=float):
     return whole
 
 
-def _cat_from_dict(d: dict, where: str) -> CatSpec:
+def _object(d, where: str, allowed) -> dict:
+    """d itself when it is an object whose keys all lie in allowed; otherwise a
+    ConfigError naming the object."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object")
+    bad = set(d) - set(allowed)
+    if bad:
+        raise ConfigError(f"{where}: unknown fields {sorted(bad)}")
+    return d
+
+
+def _cat_from_dict(d: dict, where: str) -> CatSpec:
+    _object(d, where, ("kind", "amp_mag", "amp_phase", "rel_phase"))
     if "amp_mag" not in d:
         raise ConfigError(f"{where}.amp_mag: required")
     amp_mag = _number(d["amp_mag"], f"{where}.amp_mag")
     amp_phase = _number(d.get("amp_phase", 0.0), f"{where}.amp_phase")
     if "kind" in d:
+        if "rel_phase" in d:
+            raise ConfigError(f"{where}: give kind or rel_phase, not both")
         kind = d["kind"]
         if kind not in _CAT_KINDS:
             raise ConfigError(f"{where}.kind: must be one of {sorted(_CAT_KINDS)}")
@@ -83,11 +99,7 @@ def _cat_from_dict(d: dict, where: str) -> CatSpec:
 
 
 def _params_from_dict(d: dict) -> AmplifierParams:
-    if not isinstance(d, dict):
-        raise ConfigError("params: expected an object")
-    bad = set(d) - {f.name for f in fields(AmplifierParams)}
-    if bad:
-        raise ConfigError(f"params: unknown fields {sorted(bad)}")
+    _object(d, "params", (f.name for f in fields(AmplifierParams)))
     if "g" not in d:
         raise ConfigError("params.g: required")
     try:
@@ -130,38 +142,30 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config: expected a JSON object")
+        _object(d, "config", (f.name for f in fields(cls)))
         for key in ("cat1", "cat2", "params", "time"):
             if key not in d:
                 raise ConfigError(f"{key}: required")
-        rest = dict(d)
         cfg = cls(
-            scenario=str(rest.pop("scenario", "run")),
-            cat1=_cat_from_dict(rest.pop("cat1"), "cat1"),
-            cat2=_cat_from_dict(rest.pop("cat2"), "cat2"),
-            params=_params_from_dict(rest.pop("params")),
-            time=_number(rest.pop("time"), "time"),
+            scenario=str(d.get("scenario", "run")),
+            cat1=_cat_from_dict(d["cat1"], "cat1"),
+            cat2=_cat_from_dict(d["cat2"], "cat2"),
+            params=_params_from_dict(d["params"]),
+            time=_number(d["time"], "time"),
         )
         for key in ("observable", "format", "out"):
-            if key in rest:
-                setattr(cfg, key, str(rest.pop(key)))
+            if key in d:
+                setattr(cfg, key, str(d[key]))
         for key in ("mode", "k"):
-            if key in rest:
-                setattr(cfg, key, _number(rest.pop(key), key, int))
-        if "n_max" in rest:
-            raw = rest.pop("n_max")
-            cfg.n_max = None if raw is None else _number(raw, "n_max", int)
-        if "cut_y" in rest:
-            cfg.cut_y = _number(rest.pop("cut_y"), "cut_y")
-        for key in ("grid", "scan"):
-            if key in rest:
-                raw = rest.pop(key)
-                if raw is not None and not isinstance(raw, dict):
-                    raise ConfigError(f"{key}: expected an object")
-                setattr(cfg, key, raw)
-        if rest:
-            raise ConfigError(f"config: unknown fields {sorted(rest)}")
+            if key in d:
+                setattr(cfg, key, _number(d[key], key, int))
+        if d.get("n_max") is not None:
+            cfg.n_max = _number(d["n_max"], "n_max", int)
+        if "cut_y" in d:
+            cfg.cut_y = _number(d["cut_y"], "cut_y")
+        for key, allowed in (("grid", _GRID_FIELDS), ("scan", _SCAN_FIELDS)):
+            if d.get(key) is not None:
+                setattr(cfg, key, _object(d[key], key, allowed))
         _check_time(cfg.time, "time")
         if not math.isfinite(cfg.cut_y):
             raise ConfigError("cut_y: must be finite")
@@ -483,7 +487,7 @@ def cmd_scan(cfg: RunConfig) -> list[str]:
     known = {"t", *(f"{group.name}.{f.name}" for group in fields(base)
                     for f in fields(getattr(base, group.name)))}
     names, grids = zip(*(_scan_axis(cfg.scan, key, vkey, known)
-                         for key, vkey in (("parameter", "values"), ("parameter2", "values2"))
+                         for key, vkey in _SCAN_AXES
                          if key == "parameter" or key in cfg.scan))
     points = list(itertools.product(*grids))
     results = []

@@ -19,6 +19,10 @@ from .params import System
 
 _IMAG_RESIDUE_TOL = 1e-10
 _BOUNDARY_TOL = 1e-6
+# count_peaks: maxima below this fraction of max W are ignored, and a
+# secondary one must rise this fraction of max W above its saddle
+_REL_THRESHOLD = 0.05
+_REL_PROMINENCE = 0.05
 
 
 class SupportWarning(UserWarning):
@@ -158,47 +162,29 @@ def _strict_maxima(v: np.ndarray, cut: float) -> list[tuple[float, int, int]]:
     )
 
 
-def _saddle_to_higher(v: np.ndarray, peak: tuple[float, int, int]) -> float:
-    """Highest level at which the peak's super-level component reaches a
-    strictly higher point (binary search over connected components)."""
-    from scipy import ndimage
+def count_peaks(grid: PhaseGrid) -> int:
+    """Number of well-separated maxima above 5 % of the maximum.
 
-    val, j, i = peak
-    lo, hi = float(np.min(v)), val
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        labels, _ = ndimage.label(v >= mid)
-        comp = labels == labels[j, i]
-        if float(np.max(v[comp])) > val:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def count_peaks(grid: PhaseGrid, rel_threshold: float = 0.05,
-                rel_prominence: float = 0.05) -> int:
-    """Number of well-separated maxima above rel_threshold * max.
-
-    Strict interior local maxima are first collected, then merged by
-    topographic prominence: a maximum only counts as a separate peak when it
-    rises at least rel_prominence * max above the saddle connecting it to
-    higher ground.  This keeps the count grid-resolution independent (a broad
-    lobe does not split into several peaks over percent-deep ripples).
+    Strict interior local maxima above _REL_THRESHOLD * max are collected,
+    highest first; the highest always counts.  Every other maximum counts
+    only when it rises at least _REL_PROMINENCE * max above the saddle that
+    connects it to higher ground, i.e. when the 4-connected component of
+    {W > val - _REL_PROMINENCE * max} holding it has no value above val: one
+    labelling per maximum.  This keeps the count grid-resolution independent
+    (a broad lobe does not split into several peaks over percent-deep ripples).
     """
     v = grid.values
     vmax = float(np.max(v))
     if vmax <= 0.0:
         return 0
-    maxima = _strict_maxima(v, rel_threshold * vmax)
-    if not maxima:
-        return 0
-    count = 0
-    for k, peak in enumerate(maxima):
-        if k == 0:
-            count += 1
-            continue
-        prominence = peak[0] - _saddle_to_higher(v, peak)
-        if prominence >= rel_prominence * vmax:
-            count += 1
+    maxima = _strict_maxima(v, _REL_THRESHOLD * vmax)
+    if len(maxima) < 2:
+        return len(maxima)
+    # imported here so that a grid with one maximum never loads scipy.ndimage
+    from scipy import ndimage
+
+    count = 1
+    for val, j, i in maxima[1:]:
+        labels, _ = ndimage.label(v > val - _REL_PROMINENCE * vmax)
+        count += float(np.max(v[labels == labels[j, i]])) <= val
     return count

@@ -94,6 +94,9 @@ class TestFigureCommand:
         parts = load("7a") + load("7b") + load("7c")
         assert np.max(np.abs(total - parts)) < 1e-10
 
+    # sidecar peak_count of the Wigner presets
+    PEAK_COUNTS = {"1a": 4, "1b": 9, "1c": 3, "2a": 1, "2b": 2}
+
     # presets that no other test runs; 9a/9b (about 10 s each) are left out
     @pytest.mark.parametrize("fig_id, header, rows", [
         ("1a", "x,y,w", 201 * 201),
@@ -117,6 +120,8 @@ class TestFigureCommand:
         meta = json.loads((tmp_path / "fig.meta.json").read_text())
         assert meta["figure"] == fig_id
         assert {"cat1", "cat2", "params", "time"} <= set(meta["resolved"])
+        if fig_id in self.PEAK_COUNTS:
+            assert meta["features"]["peak_count"] == self.PEAK_COUNTS[fig_id]
 
     def test_figure_json_format(self, tmp_path):
         out = tmp_path / "fig5.json"
@@ -202,11 +207,21 @@ class TestBadValues:
         ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": 21.9}},
          "grid.nx: expected an integer, got 21.9"),
         ("squeeze", {"k": True}, "k: expected a number, got True"),
+        ("squeeze", {"cat1": {"kind": "even", "amp_mag": 1, "amp_phse": 0.5}},
+         "cat1: unknown fields ['amp_phse']"),
+        ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nX": 41}},
+         "grid: unknown fields ['nX']"),
+        ("scan", {"observable": "Q", "scan": {"parameter": "t", "values": [0.1],
+                                              "valuez2": [0.2]}},
+         "scan: unknown fields ['valuez2']"),
+        ("squeeze", {"cat2": {"kind": "odd", "amp_mag": 0.5, "rel_phase": 1.0}},
+         "cat2: give kind or rel_phase, not both"),
     ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan",
             "time_text", "cut_y_text", "cut_y_inf", "mode_text", "k_text", "n_max_text",
             "n_max_inf", "amp_mag_text", "amp_phase_list", "rel_phase_text", "params_g_text",
             "grid_x_min_nan", "grid_y_max_inf", "grid_nx_text", "k_fraction", "mode_fraction",
-            "n_max_fraction", "grid_nx_fraction", "k_bool"])
+            "n_max_fraction", "grid_nx_fraction", "k_bool", "cat_unknown_field",
+            "grid_unknown_field", "scan_unknown_field", "cat_kind_and_rel_phase"])
     def test_exit_2_names_the_field(self, tmp_path, capsys, command, extra, message):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, dict(extra, out=str(out)))

@@ -1,13 +1,77 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import catamp as ca
 from catamp import oracle
-from catamp.wigner import GridSpec, SupportWarning
+from catamp.wigner import GridSpec, SupportWarning, _strict_maxima
 
 from conftest import make_system, random_cat
+
+
+def _saddle_to_higher(v, peak):
+    """Highest level at which the peak's super-level component reaches a
+    strictly higher point (binary search over connected components)."""
+    val, j, i = peak
+    lo, hi = float(np.min(v)), val
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        labels, _ = ndimage.label(v >= mid)
+        comp = labels == labels[j, i]
+        if float(np.max(v[comp])) > val:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def bisection_count(v, rel_threshold=0.05, rel_prominence=0.05):
+    """Reference peak count: each saddle located by 40-step bisection, then
+    the same 5 % threshold and prominence rule as count_peaks."""
+    vmax = float(np.max(v))
+    if vmax <= 0.0:
+        return 0
+    maxima = _strict_maxima(v, rel_threshold * vmax)
+    if not maxima:
+        return 0
+    count = 0
+    for k, peak in enumerate(maxima):
+        if k == 0:
+            count += 1
+            continue
+        prominence = peak[0] - _saddle_to_higher(v, peak)
+        if prominence >= rel_prominence * vmax:
+            count += 1
+    return count
+
+
+# figure id -> (|alpha1|, |alpha2|, gamma, nbar, peak count), g = 1, t = 0.55
+FIGURE_PEAKS = {
+    "1a": (2.0, 2.0, 0.0, 0.0, 4),
+    "1b": (3.0, 2.0, 0.0, 0.0, 9),
+    "1c": (2.0, 3.0, 0.0, 0.0, 3),
+    "2a": (3.0, 2.0, 5.0, 1.0, 1),
+    "2b": (3.0, 2.0, 1.0, 1.0, 2),
+}
+
+
+def on_grid(values):
+    ny, nx = values.shape
+    return ca.PhaseGrid(GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny), values)
+
+
+def two_bumps(lower, saddle):
+    """Bumps of height 1 and lower on the middle row, joined through saddle;
+    every path between them crosses the middle column, whose top is saddle."""
+    row = np.interp(np.arange(81), [0, 20, 40, 60, 80], [0.0, 1.0, saddle, lower, 0.0])
+    col = np.exp(-((np.arange(41) - 20) / 8.0) ** 2)
+    return on_grid(col[:, None] * row[None, :])
 
 
 def wigner_at(system, z, mode=1):
@@ -166,3 +230,57 @@ class TestCutAndPeaks:
         system = make_system("even", 2.0, "even", 3.0)
         grid = ca.wigner_grid(system, 0.55)
         assert ca.count_peaks(grid) == 3
+
+
+class TestPeakCountReference:
+    """count_peaks (one labelling per maximum) against the bisection."""
+
+    @pytest.mark.parametrize("fig_id", FIGURE_PEAKS)
+    def test_figure_grids(self, fig_id):
+        a1, a2, gamma, nbar, expected = FIGURE_PEAKS[fig_id]
+        grid = ca.wigner_grid(make_system("even", a1, "even", a2, gamma=gamma, nbar=nbar), 0.55)
+        assert ca.count_peaks(grid) == bisection_count(grid.values) == expected
+
+    def test_filtered_noise_fields(self):
+        counts, edge_max = [], 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            v = ndimage.gaussian_filter(rng.standard_normal((96, 96)), 4.0 + 4.0 * seed / 29)
+            j, i = np.unravel_index(np.argmax(v), v.shape)
+            edge_max += j in (0, 95) or i in (0, 95)
+            counts.append(ca.count_peaks(on_grid(v)))
+            assert counts[-1] == bisection_count(v), seed
+        # the highest interior maximum counts even below a higher edge value
+        assert edge_max > 0
+        assert min(counts) < max(counts)
+
+    @pytest.mark.parametrize("lower, saddle, expected", [
+        (1.0, 0.1, 2),    # two equal maxima split by a deep dip
+        (0.5, 0.46, 1),   # the lower bump rises 4 % of the maximum above the saddle
+        (0.5, 0.44, 2),   # ... and 6 %
+    ])
+    def test_synthetic_saddles(self, lower, saddle, expected):
+        grid = two_bumps(lower, saddle)
+        assert ca.count_peaks(grid) == bisection_count(grid.values) == expected
+
+    def test_one_maximum_leaves_ndimage_unimported(self):
+        # figure 2a has one maximum, figure 2b two; only a second maximum
+        # reaches scipy.ndimage
+        code = textwrap.dedent("""
+            import math, sys
+            import catamp as ca
+            def grid(gamma):
+                amp = ca.AmplifierParams(g=1.0, pump_phase=math.pi / 2, gamma1=gamma,
+                                         gamma2=gamma, nbar1=1.0, nbar2=1.0)
+                return ca.wigner_grid(ca.System(ca.CatSpec.even(3.0), ca.CatSpec.even(2.0), amp), 0.55)
+            assert ca.count_peaks(grid(5.0)) == 1
+            assert "scipy.ndimage" not in sys.modules
+            assert ca.count_peaks(grid(1.0)) == 2
+            assert "scipy.ndimage" in sys.modules
+        """)
+        src = os.path.dirname(os.path.dirname(ca.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
