@@ -196,14 +196,30 @@ def load_config(path: str) -> RunConfig:
 
 # printf conversion per numpy dtype kind; every other column is written as %.17g
 _CSV_CONVERSIONS = {"i": "%d", "u": "%d", "O": "%s", "U": "%s"}
+# rows formatted and joined per write: the whole file at once costs memory,
+# one row at a time speed
+_CSV_BLOCK = 4096
+
+
+def _cells(c: np.ndarray) -> list[str]:
+    """The column's cells as strings; a float64 column formats each distinct bit
+    pattern once (bits, not values: -0.0 and 0.0 print differently)."""
+    conv = _CSV_CONVERSIONS.get(c.dtype.kind, "%.17g")
+    if c.dtype != np.float64:
+        return [conv % v for v in c.tolist()]
+    bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
+    text = [conv % v for v in bits.view(np.float64).tolist()]
+    return [text[k] for k in inverse.tolist()]
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write the columns as CRLF rows, each formatted by one %-format."""
-    row = ",".join(_CSV_CONVERSIONS.get(c.dtype.kind, "%.17g") for c in columns) + "\r\n"
+    """Write the columns as CRLF rows, each cell formatted by its column's %-format."""
+    rows = min((len(c) for c in columns), default=0)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        f.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
+        for lo in range(0, rows, _CSV_BLOCK):
+            block = zip(*(_cells(c[lo:lo + _CSV_BLOCK]) for c in columns))
+            f.write("\r\n".join(map(",".join, block)) + "\r\n")
 
 
 def write_json(path: str, obj: dict) -> None:

@@ -2,7 +2,9 @@
 
 Each row of the evolved term record contributes a complex Gaussian centred
 between its bra/ket drift amplitudes, with a width growing with the
-accumulated noise; the 16-row weighted sum is real.  Negativity of the summed
+accumulated noise; the 16-row weighted sum is real.  On a rectangular grid
+each row's Gaussian is an outer product of an x factor and a y factor, so the
+whole grid is one (ny, 16) @ (16, nx) product.  Negativity of the summed
 function signals surviving phase-space interference.
 """
 
@@ -75,21 +77,21 @@ class PhaseGrid:
         return float(np.sum(self.values)) * dx * dy
 
 
-def _wigner_sum(ev: EvolvedTerms, z, mode: int) -> np.ndarray:
-    """Wigner function of one mode at z, summed row by row over the record.
+def _wigner_sum(ev: EvolvedTerms, x: np.ndarray, y, mode: int) -> np.ndarray:
+    """Wigner function of one mode on the lattice of x (1-D) and y (1-D or scalar).
 
-    Each row is a complex Gaussian on the shape of z; the rows are added one
-    at a time so that at most a few arrays of that shape are alive.
+    Row k's exponent -2(ab - conj z)(ab' - z)/w at z = x + iy splits exactly
+    into -2(ab - x)(ab' - x)/w - 2y(y - i(ab - ab'))/w, so each row is an
+    outer product ey[k] ex[k] and the weighted 16-row sum is one matrix
+    product, W[iy, ix] (W[ix] for a scalar y).  The x factor keeps the
+    product form: expanded in powers of x it loses digits to cancellation.
     """
-    b, abar, abarp = ev.mode(mode)
-    z = np.asarray(z, dtype=complex)
-    zc = np.conj(z)
+    b, ab, abp = ev.mode(mode)
     width = 1.0 + 2.0 * b
-    height = 2.0 / (math.pi * width)
-    acc = ev.norm * sum(
-        height * pref * np.exp(-2.0 * (ab - zc) * (abp - z) / width)
-        for pref, ab, abp in zip(ev.prefactor.tolist(), abar.tolist(), abarp.tolist())
-    )
+    y = np.asarray(y, dtype=float)[..., None]
+    ex = np.exp(-2.0 * np.subtract.outer(ab, x) * np.subtract.outer(abp, x) / width)
+    ey = np.exp(-2.0 * y * (y - 1j * (ab - abp)) / width)
+    acc = (ey * (ev.norm * 2.0 / (math.pi * width) * ev.prefactor)) @ ex
     scale = float(np.max(np.abs(acc))) or 1.0
     residue = float(np.max(np.abs(acc.imag)))
     if residue > _IMAG_RESIDUE_TOL * scale:
@@ -119,8 +121,7 @@ def wigner_grid(system: System, t: float, spec: GridSpec | None = None,
         spec = _default_grid(ev, mode)
     x = np.linspace(spec.x_min, spec.x_max, spec.nx)
     y = np.linspace(spec.y_min, spec.y_max, spec.ny)
-    z = x[None, :] + 1j * y[:, None]
-    vals = _wigner_sum(ev, z, mode)
+    vals = _wigner_sum(ev, x, y, mode)
     peak = float(np.max(np.abs(vals))) or 1.0
     edge = max(
         float(np.max(np.abs(vals[0, :]))),
@@ -140,12 +141,16 @@ def wigner_grid(system: System, t: float, spec: GridSpec | None = None,
 def wigner_cut(system: System, t: float, y: float = -0.25,
                x: np.ndarray | None = None, mode: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Wigner values along a constant-y line (exact evaluation, no snapping)."""
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y}")
     ev = evolve_terms(system, t)
     if x is None:
         spec = _default_grid(ev, mode)
         x = np.linspace(spec.x_min, spec.x_max, spec.nx)
-    z = np.asarray(x) + 1j * y
-    return np.asarray(x), _wigner_sum(ev, z, mode)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ValueError("x must be a 1-D array of finite values")
+    return x, _wigner_sum(ev, x, y, mode)
 
 
 def _strict_maxima(v: np.ndarray, cut: float) -> list[tuple[float, int, int]]:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from catamp.cli import (
+    _CSV_BLOCK,
     ConfigError,
     RunConfig,
     UnknownFigure,
     cmd_figure,
     load_config,
     main,
+    write_csv,
 )
 
 
@@ -299,3 +301,49 @@ class TestOtherCommands:
         cfg = load_config(path)
         assert cfg.observable == "Q1"
         assert cfg.cat1.amp_mag == 1.0
+
+
+def row_by_row_csv(path, header, columns):
+    """Reference writer: every row formatted by one %-format, cell by cell."""
+    conv = {"i": "%d", "u": "%d", "O": "%s", "U": "%s"}
+    row = ",".join(conv.get(c.dtype.kind, "%.17g") for c in columns) + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        f.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
+
+
+# float64 values whose text is easy to get wrong: signed zeros and nans,
+# infinities, subnormals and 1-ulp neighbours
+HARD_FLOATS = np.array([
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    np.nextafter(2.2250738585072014e-308, 0.0), 1.0, np.nextafter(1.0, 2.0),
+    np.nextafter(1.0, 0.0), 0.1, 0.30000000000000004, 1e300, -1.7976931348623157e308,
+    1e16, 12345678901234567.0,
+])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [0, 1, 7, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                      2 * _CSV_BLOCK + 3])
+    def test_matches_row_by_row_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        pick = rng.integers(0, len(HARD_FLOATS), rows)
+        nan_bits = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64)
+        columns = [
+            HARD_FLOATS[pick],                                       # repeats
+            np.where(pick % 5 == 0, 0.0, -0.0),                      # signed zeros only
+            rng.standard_normal(rows),                               # all distinct
+            np.tile(nan_bits.view(np.float64), rows)[:rows],         # nan payloads
+            rng.integers(-(2**62), 2**62, rows),
+            rng.integers(0, 3, rows).astype(np.uint8),
+            pick % 2 == 0,
+            rng.standard_normal(rows).astype(np.float32),
+            np.array([f"case{k % 3}" for k in range(rows)], dtype=object),
+            np.array(["a", "b,c"] * rows, dtype=str)[:rows],
+        ]
+        header = [f"c{k}" for k in range(len(columns))]
+        write_csv(str(tmp_path / "new.csv"), header, columns)
+        row_by_row_csv(str(tmp_path / "ref.csv"), header, columns)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.count(b"\r\n") == rows + 1

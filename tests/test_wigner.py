@@ -4,15 +4,46 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import catamp as ca
 from catamp import oracle
+from catamp.coeffs import evolve_terms
 from catamp.wigner import GridSpec, SupportWarning, _strict_maxima
 
-from conftest import make_system, random_cat
+from conftest import amplifiers, cats, make_system, random_cat, swap_modes
+
+
+def complex_z_sum(ev, z, mode):
+    """Reference Wigner sum: each row a complex Gaussian in z = x + iy, added
+    one row at a time (no split into x and y factors)."""
+    b, abar, abarp = ev.mode(mode)
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)
+    width = 1.0 + 2.0 * b
+    height = 2.0 / (math.pi * width)
+    return (ev.norm * sum(
+        height * pref * np.exp(-2.0 * (ab - zc) * (abp - z) / width)
+        for pref, ab, abp in zip(ev.prefactor.tolist(), abar.tolist(), abarp.tolist())
+    )).real
+
+
+def mp_wigner(ev, z, mode):
+    """The same sum at 40 digits, from the float record."""
+    b, abar, abarp = ev.mode(mode)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        width = 1 + 2 * mpmath.mpf(b)
+        total = sum(
+            mpmath.mpc(pref) * mpmath.exp(-2 * (mpmath.mpc(ab) - mpmath.conj(z))
+                                          * (mpmath.mpc(abp) - z) / width)
+            for pref, ab, abp in zip(ev.prefactor.tolist(), abar.tolist(), abarp.tolist())
+        )
+        return float((mpmath.mpf(ev.norm) * 2 / (mpmath.pi * width) * total).real)
 
 
 def _saddle_to_higher(v, peak):
@@ -185,6 +216,18 @@ class TestCutAndPeaks:
         xs, cut = ca.wigner_cut(system, 0.3, y=-0.25, x=grid.x)
         assert np.allclose(cut, grid.values[0], atol=1e-15)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cut_y_rejected(self, y):
+        system = make_system("even", 1.5, "even", 1.0)
+        with pytest.raises(ValueError, match="y must be finite"):
+            ca.wigner_cut(system, 0.3, y=y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cut_x_rejected(self, bad):
+        system = make_system("even", 1.5, "even", 1.0)
+        with pytest.raises(ValueError, match="x must be a 1-D array of finite values"):
+            ca.wigner_cut(system, 0.3, x=np.array([0.0, bad, 1.0]))
+
     @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max"])
     def test_non_finite_bounds_rejected(self, field):
         bounds = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0)
@@ -230,6 +273,61 @@ class TestCutAndPeaks:
         system = make_system("even", 2.0, "even", 3.0)
         grid = ca.wigner_grid(system, 0.55)
         assert ca.count_peaks(grid) == 3
+
+
+# (system, mode) of the kernel checks: figures 1a-2b, figure 1b's idler and
+# an overdamped case
+KERNEL_CASES = {
+    **{fig: (make_system("even", a1, "even", a2, gamma=gamma, nbar=nbar), 1)
+       for fig, (a1, a2, gamma, nbar, _) in FIGURE_PEAKS.items()},
+    "1b_mode2": (make_system("even", 3.0, "even", 2.0), 2),
+    "overdamped": (make_system("yss", 2.0, "odd", 1.5, psi1=0.7, gamma=3.0, nbar=1.0), 1),
+}
+
+
+class TestSeparableKernel:
+    """wigner_grid (x and y factors, one matrix product) against the complex-z sum."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_matches_complex_z_sum(self, case):
+        system, mode = KERNEL_CASES[case]
+        grid = ca.wigner_grid(system, 0.55, mode=mode)
+        ref = complex_z_sum(evolve_terms(system, 0.55), grid.x[None, :] + 1j * grid.y[:, None],
+                            mode)
+        assert np.max(np.abs(grid.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["1b", "overdamped"])
+    def test_matches_40_digits(self, case):
+        system, mode = KERNEL_CASES[case]
+        grid = ca.wigner_grid(system, 0.55, mode=mode)
+        v = grid.values
+        rng = np.random.default_rng(7)
+        points = [np.unravel_index(np.argmax(v), v.shape), np.unravel_index(np.argmin(v), v.shape),
+                  *zip(rng.integers(0, v.shape[0], 30), rng.integers(0, v.shape[1], 30))]
+        ev = evolve_terms(system, 0.55)
+        err = max(abs(v[j, i] - mp_wigner(ev, complex(grid.x[i], grid.y[j]), mode))
+                  for j, i in points)
+        assert err <= 1e-14 * np.max(np.abs(v))
+
+    def test_cut_is_the_one_row_case(self):
+        system, mode = KERNEL_CASES["1b"]
+        xs, cut = ca.wigner_cut(system, 0.55, y=-0.25, mode=mode)
+        ref = complex_z_sum(evolve_terms(system, 0.55), xs - 0.25j, mode)
+        assert cut.shape == xs.shape
+        assert np.max(np.abs(cut - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("ignore::catamp.SupportWarning")
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(cat1=cats, cat2=cats, params=amplifiers, t=st.floats(0.0, 1.0))
+def test_mode_swap_symmetry(cat1, cat2, params, t):
+    # the signal's Wigner function is the idler's once the cats, losses and
+    # reservoirs are exchanged
+    system = ca.System(cat1, cat2, params)
+    spec = GridSpec(-7.0, 7.0, -6.0, 6.0, 57, 49)
+    mine = ca.wigner_grid(system, t, spec, mode=1).values
+    theirs = ca.wigner_grid(swap_modes(system), t, spec, mode=2).values
+    assert np.max(np.abs(mine - theirs)) <= 1e-13 * np.max(np.abs(mine))
 
 
 class TestPeakCountReference:
