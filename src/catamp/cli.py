@@ -20,12 +20,13 @@ import numpy as np
 
 from . import oracle
 from .charfn import moment
+from .coeffs import evolve_terms
 from .params import AmplifierParams, CatSpec, System
 from .photon_stats import (MAX_FACTORIAL_ORDER, TruncationWarning, factorial_moments,
                            single_pnd, sum_pnd)
 from .rho_terms import TermClass
 from .squeezing import single_mode_squeezing, two_mode_squeezing
-from .wigner import GridSpec, SupportWarning, count_peaks, wigner_cut, wigner_grid
+from .wigner import GridSpec, SupportWarning, _wigner_sum, count_peaks, wigner_cut, wigner_grid
 
 
 class ConfigError(ValueError):
@@ -591,10 +592,10 @@ def _oracle_deviations(system: System, t: float, dims: tuple[int, int],
     ref = oracle.squeeze_factors(evolved)
     out["squeeze"] = max(abs(v - ref[k]) for k, v in _squeeze_factors(system, t).items())
 
-    # compared point by point, so evaluated as cuts: the grid's boundary-mass
+    # compared point by point, so evaluated without wigner_grid: its boundary-mass
     # check guards integrals and peak counts, which this lattice does not take
     axis = np.linspace(-wigner_extent, wigner_extent, wigner_n)
-    w = np.array([wigner_cut(system, t, y=yv, x=axis)[1] for yv in axis])
+    w = _wigner_sum(evolve_terms(system, t), axis, axis, 1)
     w_ref = oracle.wigner(evolved, axis[None, :] + 1j * axis[:, None])
     out["wigner"] = float(np.max(np.abs(w - w_ref)))
     return out

@@ -152,16 +152,42 @@ class EvolvedTerms:
         raise ValueError("mode must be 1 or 2")
 
 
-def evolve_terms(system: System, t: float) -> EvolvedTerms:
-    """The system's term table and the coefficients at t, combined once."""
+def _evolve(system: System, t: float) -> EvolvedTerms:
+    """The system's term table and the coefficients at t, combined; the
+    record's arrays are read-only, since evolve_terms hands it out again."""
     table, norm = enumerate_terms(system.cat1, system.cat2)
     c = coeffs_at(system.params, t)
     f2c = c.f2.conjugate()
     a1_bra_c, a2_bra_c = table.a1_bra.conj(), table.a2_bra.conj()
-    return EvolvedTerms(
+    ev = EvolvedTerms(
         coeffs=c, norm=norm, prefactor=table.prefactor, kind=table.kind,
         ab1=a1_bra_c * c.f1 + table.a2_ket * f2c,
         ab2=table.a1_ket * f2c + a2_bra_c * c.f3,
         abp1=table.a1_ket * c.f1 + a2_bra_c * c.f2,
         abp2=a1_bra_c * c.f2 + table.a2_ket * c.f3,
     )
+    for arr in (ev.prefactor, ev.ab1, ev.ab2, ev.abp1, ev.abp2):
+        arr.flags.writeable = False
+    return ev
+
+
+# the last record built, as (system, t, record); replaced as a whole
+_last: tuple = (None, None, None)
+
+
+def evolve_terms(system: System, t: float) -> EvolvedTerms:
+    """The system's term table and the coefficients at t, combined once.
+
+    The last record is kept and returned again while the same System object
+    and the same t object come back, as they do when one observable calls
+    another at one point.  Identity, not equality, is the key: equality
+    takes -0.0 for 0.0 (in t and in amp_phase), and a hit would then return
+    bits that depend on the call order.
+    """
+    global _last
+    s0, t0, ev = _last
+    if system is s0 and t is t0:
+        return ev
+    ev = _evolve(system, t)
+    _last = (system, t, ev)
+    return ev

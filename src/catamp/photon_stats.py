@@ -110,8 +110,7 @@ def _paired_prefactors(ev: EvolvedTerms) -> list[complex]:
 
 def _auto_n_max(ev: EvolvedTerms, mode: int | None) -> int:
     """Truncation from the mean and variance of the photon-number observable."""
-    w1 = _factorial_moment(ev, 1, mode)
-    w2 = _factorial_moment(ev, 2, mode)
+    _, w1, w2 = _factorial_moments(ev, 2, mode)
     mean = max(w1, 0.0)
     var = max(w2 + mean - mean**2, mean)
     return max(int(math.ceil(mean + 8.0 * math.sqrt(var + 1.0))), 31) + 1
@@ -188,19 +187,18 @@ def factorial_moments(
         raise ValueError("scope must be 'compound' or 'single'")
     if k == 0:
         return 1.0, 0.0
-    ev = evolve_terms(system, t)
-    mode = None if scope == "compound" else mode
-    wk = _factorial_moment(ev, k, mode)
+    moments = _factorial_moments(evolve_terms(system, t), k,
+                                 None if scope == "compound" else mode)
+    wk, w1 = moments[k], moments[1]
     if k == 1:
         return wk, 0.0
-    w1 = _factorial_moment(ev, 1, mode)
     if w1 == 0.0:
         return wk, float("nan")
     return wk, wk / w1**k - 1.0
 
 
-def _taylor_coefficients(t_coef: float, k_coef: float, a, b, k: int) -> list[complex]:
-    """[v^k] F(v) of each row (a, b), F(v) = G(1 + v) = exp(-v (a - b v) / P) / P.
+def _taylor_coefficients(t_coef: float, k_coef: float, a, b, k: int) -> list[list[complex]]:
+    """[v^m] F(v), m = 0..k, of each row (a, b), F(v) = G(1 + v) = exp(-v (a - b v) / P) / P.
 
     P = 1 - T v + K v^2, and F solves P^2 F' = S F with S cubic, so with Q the
     coefficients of 1 - P^2:  (m+1) F_{m+1} = sum_{j=0..3} (S_j + Q_j (m-j)) F_{m-j}.
@@ -212,19 +210,22 @@ def _taylor_coefficients(t_coef: float, k_coef: float, a, b, k: int) -> list[com
     for ar, br in zip(a, b):
         s0, s1, s2 = t - ar, 2.0 * br + q1, ar * kc - br * t + tk3
         f0, f1, f2, f3 = 1.0 + 0j, 0j, 0j, 0j  # F_m .. F_{m-3}, with F_{-j} = 0
+        series = [f0]
         for m in range(k):
             nxt = ((s0 + q0 * m) * f0 + (s1 + q1 * (m - 1)) * f1
                    + (s2 + q2 * (m - 2)) * f2 + (s3 + q3 * (m - 3)) * f3)
             f0, f1, f2, f3 = nxt / (m + 1), f0, f1, f2
-        out.append(f0)
+            series.append(f0)
+        out.append(series)
     return out
 
 
-def _factorial_moment(ev: EvolvedTerms, k: int, mode: int | None) -> float:
-    """<W^k> of the sum n1 + n2 (mode None) or of one mode, from the record:
-    k! [v^k] of the generating function at s = 1 + v."""
+def _factorial_moments(ev: EvolvedTerms, k: int, mode: int | None) -> list[float]:
+    """<W^m>, m = 0..k, of the sum n1 + n2 (mode None) or of one mode, from the
+    record: m! [v^m] of the generating function at s = 1 + v."""
     t_coef, k_coef, a, b = generating_quantities(ev, mode)
-    vals = _taylor_coefficients(t_coef, k_coef, a[:8].tolist(), b[:8].tolist(), k)
-    total = sum(p * v for p, v in zip(_paired_prefactors(ev), vals))
-    # k! last: past float range the moment is inf, not an inf - inf NaN
-    return float((ev.norm * total).real) * math.factorial(k)
+    rows = _taylor_coefficients(t_coef, k_coef, a[:8].tolist(), b[:8].tolist(), k)
+    prefactors = _paired_prefactors(ev)
+    # m! last: past float range the moment is inf, not an inf - inf NaN
+    return [float((ev.norm * sum(p * v for p, v in zip(prefactors, column))).real)
+            * math.factorial(m) for m, column in enumerate(zip(*rows))]

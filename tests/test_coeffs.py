@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -301,3 +302,114 @@ class TestOneEvaluationPerCall:
         system = make_system("even", 1.1, "odd", 0.7, gamma=0.3, nbar=0.2)
         observable(system, 0.4)
         assert calls == {"enumerate_terms": 1, "coeffs_at": 1}
+
+
+def record_bits(ev):
+    """Every bit of an evolved record: the scalars, the classes and the arrays."""
+    c = ev.coeffs
+    scalars = np.array([c.f1, c.f2, c.f3, c.B1N, c.B2N, c.D, ev.norm], dtype=complex)
+    return [scalars.tobytes(), ev.kind] + [
+        getattr(ev, name).tobytes() for name in ("prefactor", "ab1", "ab2", "abp1", "abp2")]
+
+
+def observable_bits(system, t):
+    """The bits of every observable that reads the record, at one point."""
+    spec = ca.GridSpec(-7.0, 7.0, -6.0, 6.0, 21, 17)
+    values = [
+        *(dataclasses.astuple(f) for f in (ca.two_mode_squeezing(system, t),
+                                            ca.single_mode_squeezing(1, system, t),
+                                            ca.single_mode_squeezing(2, system, t))),
+        ca.moment(1, 1, 0, 1, system, t), ca.moment(0, 2, 2, 0, system, t),
+        ca.factorial_moments(system, t, 4),
+        ca.factorial_moments(system, t, 3, scope="single", mode=2),
+    ]
+    arrays = [ca.sum_pnd(system, t, n_max=40).probs, ca.wigner_grid(system, t, spec).values]
+    # repr round-trips every float and keeps the sign of zero
+    return [repr(values)] + [a.tobytes() for a in arrays]
+
+
+class TestEvolveMemo:
+    # evolve_terms hands the last record out again for the same System object
+    # and the same t object; anything else is a fresh build
+    def test_same_system_and_t_return_the_same_record(self):
+        system = make_system("even", 1.1, "odd", 0.7, gamma=0.3, nbar=0.2)
+        t = 0.4
+        assert ca.evolve_terms(system, t) is ca.evolve_terms(system, t)
+
+    def test_equal_but_distinct_system_is_a_fresh_build(self):
+        system = make_system("even", 1.1, "odd", 0.7, gamma=0.3, nbar=0.2)
+        twin = dataclasses.replace(system)
+        assert twin == system and twin is not system
+        ev = ca.evolve_terms(system, 0.4)
+        ev_twin = ca.evolve_terms(twin, 0.4)
+        assert ev_twin is not ev
+        assert record_bits(ev_twin) == record_bits(ev)
+
+    def test_signed_zeros_are_distinct_keys(self):
+        system = make_system("yss", 0.9, "even", 1.2, gamma=0.5, nbar=0.1, pump=0.8)
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            ca.evolve_terms(system, first)
+            assert record_bits(ca.evolve_terms(system, second)) == record_bits(
+                ca.coeffs._evolve(system, second))
+        # equal System objects whose amplitude phases differ only in the sign of zero
+        plus, minus = (dataclasses.replace(system, cat1=ca.CatSpec(1.3, phase, math.pi))
+                       for phase in (0.0, -0.0))
+        assert plus == minus
+        for first, second in ((plus, minus), (minus, plus)):
+            ca.evolve_terms(first, 0.3)
+            assert record_bits(ca.evolve_terms(second, 0.3)) == record_bits(
+                ca.coeffs._evolve(second, 0.3))
+
+    def test_interleaved_systems_match_fresh_builds(self, monkeypatch):
+        a = make_system("even", 1.1, "yss", 0.8, psi1=0.3, gamma=0.4, nbar=0.2, pump=0.7)
+        b = make_system("odd", 0.6, "even", 1.4, psi2=-0.5, gamma=1.2, nbar=0.5)
+        t = 0.45
+        with monkeypatch.context() as patch:
+            for module in (ca.charfn, ca.photon_stats, ca.wigner):
+                patch.setattr(module, "evolve_terms", ca.coeffs._evolve)
+            fresh = {id(s): observable_bits(s, t) for s in (a, b)}
+        for system in (a, b, a):
+            assert observable_bits(system, t) == fresh[id(system)]
+
+    def test_threads_sharing_the_memo_read_their_own_records(self):
+        # the memo is one tuple read once and replaced whole, so a thread
+        # never gets another thread's record, even when switching every 1 us
+        systems = [make_system("even", 0.5 + 0.2 * i, "odd", 0.7, gamma=0.1 * i, nbar=0.2)
+                   for i in range(6)]
+        t = 0.35
+        expected = [record_bits(ca.coeffs._evolve(s, t)) for s in systems]
+        mismatches = []
+
+        def worker(i):
+            for _ in range(300):
+                if record_bits(ca.evolve_terms(systems[i], t)) != expected[i]:
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(systems))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_record_arrays_are_read_only(self):
+        ev = ca.evolve_terms(make_system("even", 1.1, "odd", 0.7), 0.4)
+        for name in ("prefactor", "ab1", "ab2", "abp1", "abp2"):
+            with pytest.raises(ValueError):
+                getattr(ev, name)[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_failed_build_leaves_the_memo_alone(self, bad):
+        system = make_system("even", 1.1, "odd", 0.7, gamma=0.3)
+        t = 0.4
+        ev = ca.evolve_terms(system, t)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="t must be finite"):
+                ca.evolve_terms(system, bad)
+        assert ca.evolve_terms(system, t) is ev

@@ -82,8 +82,8 @@ def float_split(ev):
 def laguerre(n, x):
     """L_n(x) from the factorial-moment recurrence of photon_stats at T = 1, K = b = 0."""
     x = np.asarray(x, dtype=complex)
-    vals = _taylor_coefficients(1.0, 0.0, x.ravel().tolist(), [0j] * x.size, n)
-    return np.array(vals).reshape(x.shape)[()]
+    rows = _taylor_coefficients(1.0, 0.0, x.ravel().tolist(), [0j] * x.size, n)
+    return np.array([series[n] for series in rows]).reshape(x.shape)[()]
 
 
 class TestLaguerre:
