@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,10 +44,8 @@ _ESCALATED = (TruncationWarning, SupportWarning)
 
 
 _CAT_KINDS = {"even": 0.0, "odd": math.pi, "yurke_stoler": math.pi / 2}
-_GRID_FIELDS = tuple(f.name for f in fields(GridSpec))
 # (field, values) per scan axis; the second axis is optional
 _SCAN_AXES = (("parameter", "values"), ("parameter2", "values2"))
-_SCAN_FIELDS = tuple(itertools.chain(*_SCAN_AXES))
 
 
 def _number(value, where: str, kind=float):
@@ -67,46 +65,63 @@ def _number(value, where: str, kind=float):
     return whole
 
 
-def _object(d, where: str, allowed) -> dict:
-    """d itself when it is an object whose keys all lie in allowed; otherwise a
-    ConfigError naming the object."""
+def _object(d, where: str, allowed) -> None:
+    """ConfigError naming the object unless d is an object whose keys all lie
+    in allowed."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object")
     bad = set(d) - set(allowed)
     if bad:
         raise ConfigError(f"{where}: unknown fields {sorted(bad)}")
-    return d
 
 
-def _cat_from_dict(d: dict, where: str) -> CatSpec:
-    _object(d, where, ("kind", "amp_mag", "amp_phase", "rel_phase"))
-    if "amp_mag" not in d:
-        raise ConfigError(f"{where}.amp_mag: required")
-    amp_mag = _number(d["amp_mag"], f"{where}.amp_mag")
-    amp_phase = _number(d.get("amp_phase", 0.0), f"{where}.amp_phase")
-    if "kind" in d:
+def _read(cls, d, where: str = ""):
+    """cls built from the JSON object d, whose schema is cls's dataclass fields.
+
+    A field without a default is required, and each value is read by the
+    field's annotation (_READERS).  A value that cls itself refuses is a
+    ConfigError naming the object: where, the top-level config when empty.
+    """
+    name = where or "config"
+    _object(d, name, [f.name for f in fields(cls)])
+    prefix = f"{where}." if where else ""
+    values = {}
+    for f in fields(cls):
+        if f.name in d:
+            values[f.name] = _READERS[f.type](d[f.name], prefix + f.name)
+        elif f.default is MISSING:
+            raise ConfigError(f"{prefix}{f.name}: required")
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _read_cat(d, where: str) -> CatSpec:
+    """A cat object; it may name its rel_phase by kind (even, odd, yurke_stoler)."""
+    if isinstance(d, dict) and "kind" in d:
         if "rel_phase" in d:
             raise ConfigError(f"{where}: give kind or rel_phase, not both")
-        kind = d["kind"]
-        if kind not in _CAT_KINDS:
+        d = dict(d)
+        kind = d.pop("kind")
+        if not isinstance(kind, str) or kind not in _CAT_KINDS:
             raise ConfigError(f"{where}.kind: must be one of {sorted(_CAT_KINDS)}")
-        rel = _CAT_KINDS[kind]
-    else:
-        rel = _number(d.get("rel_phase", 0.0), f"{where}.rel_phase")
-    try:
-        return CatSpec(amp_mag, amp_phase, rel)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        d["rel_phase"] = _CAT_KINDS[kind]
+    return _read(CatSpec, d, where)
 
 
-def _params_from_dict(d: dict) -> AmplifierParams:
-    _object(d, "params", (f.name for f in fields(AmplifierParams)))
-    if "g" not in d:
-        raise ConfigError("params.g: required")
-    try:
-        return AmplifierParams(**{k: _number(v, f"params.{k}") for k, v in d.items()})
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from None
+# field annotation -> reader(value, where)
+_READERS = {
+    "float": _number,
+    "int": lambda v, where: _number(v, where, int),
+    "int | None": lambda v, where: None if v is None else _number(v, where, int),
+    "str": lambda v, where: str(v),
+    "dict | None": lambda v, where: v,  # grid and scan: RunConfig checks them
+    "CatSpec": _read_cat,
+    "AmplifierParams": lambda v, where: _read(AmplifierParams, v, where),
+}
 
 
 def _check_time(t: float, where: str) -> float:
@@ -117,13 +132,18 @@ def _check_time(t: float, where: str) -> float:
 
 @dataclass
 class RunConfig:
-    """One command's full configuration; round-trips through JSON."""
+    """One command's full configuration; round-trips through JSON.
 
-    scenario: str
+    The fields are the config file's schema (see _read).  grid and scan are
+    kept as given, so the sidecar records them as written; grid is also
+    resolved once into the GridSpec _grid (None for the default grid).
+    """
+
     cat1: CatSpec
     cat2: CatSpec
     params: AmplifierParams
     time: float
+    scenario: str = "run"
     observable: str = ""
     mode: int = 1
     k: int = 2
@@ -134,6 +154,25 @@ class RunConfig:
     out: str = "out.csv"
     format: str = "csv"
 
+    def __post_init__(self):
+        _check_time(self.time, "time")
+        if not math.isfinite(self.cut_y):
+            raise ConfigError("cut_y: must be finite")
+        if self.mode not in (1, 2):
+            raise ConfigError("mode: must be 1 or 2")
+        if not 0 <= self.k <= MAX_FACTORIAL_ORDER:
+            raise ConfigError(f"k: must be between 0 and {MAX_FACTORIAL_ORDER}")
+        if self.n_max is not None and self.n_max < 0:
+            raise ConfigError("n_max: must be >= 0")
+        if self.format not in ("csv", "json"):
+            raise ConfigError("format: must be 'csv' or 'json'")
+        if self.scan is not None:
+            _object(self.scan, "scan", itertools.chain(*_SCAN_AXES))
+        # {} asks for the default grid, as None does
+        self._grid = None if self.grid in (None, {}) else _read(GridSpec, self.grid, "grid")
+        if self._grid and min(self._grid.nx, self._grid.ny) < 2:
+            raise ConfigError("grid: nx and ny must be >= 2")
+
     @property
     def system(self) -> System:
         return System(self.cat1, self.cat2, self.params)
@@ -143,42 +182,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _object(d, "config", (f.name for f in fields(cls)))
-        for key in ("cat1", "cat2", "params", "time"):
-            if key not in d:
-                raise ConfigError(f"{key}: required")
-        cfg = cls(
-            scenario=str(d.get("scenario", "run")),
-            cat1=_cat_from_dict(d["cat1"], "cat1"),
-            cat2=_cat_from_dict(d["cat2"], "cat2"),
-            params=_params_from_dict(d["params"]),
-            time=_number(d["time"], "time"),
-        )
-        for key in ("observable", "format", "out"):
-            if key in d:
-                setattr(cfg, key, str(d[key]))
-        for key in ("mode", "k"):
-            if key in d:
-                setattr(cfg, key, _number(d[key], key, int))
-        if d.get("n_max") is not None:
-            cfg.n_max = _number(d["n_max"], "n_max", int)
-        if "cut_y" in d:
-            cfg.cut_y = _number(d["cut_y"], "cut_y")
-        for key, allowed in (("grid", _GRID_FIELDS), ("scan", _SCAN_FIELDS)):
-            if d.get(key) is not None:
-                setattr(cfg, key, _object(d[key], key, allowed))
-        _check_time(cfg.time, "time")
-        if not math.isfinite(cfg.cut_y):
-            raise ConfigError("cut_y: must be finite")
-        if cfg.mode not in (1, 2):
-            raise ConfigError("mode: must be 1 or 2")
-        if not 0 <= cfg.k <= MAX_FACTORIAL_ORDER:
-            raise ConfigError(f"k: must be between 0 and {MAX_FACTORIAL_ORDER}")
-        if cfg.n_max is not None and cfg.n_max < 0:
-            raise ConfigError("n_max: must be >= 0")
-        if cfg.format not in ("csv", "json"):
-            raise ConfigError("format: must be 'csv' or 'json'")
-        return cfg
+        return _read(cls, d)
 
 
 def load_config(path: str) -> RunConfig:
@@ -433,12 +437,11 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def cmd_figure(fig_id: str, out: str | None, fmt: str) -> list[str]:
+def cmd_figure(fig_id: str, out: str, fmt: str) -> list[str]:
     if fig_id not in _FIGURES:
         raise UnknownFigure(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
     make, kwargs = _FIGURES[fig_id]
     header, cols, features, resolved = make(**kwargs)
-    out = out or f"figure_{fig_id}.{'csv' if fmt == 'csv' else 'json'}"
     meta = {"figure": fig_id, "features": features, "resolved": resolved}
     return _emit(out, fmt, header, cols, meta)
 
@@ -446,29 +449,22 @@ def cmd_figure(fig_id: str, out: str | None, fmt: str) -> list[str]:
 # --- generic commands ----------------------------------------------------------
 
 
-_SCALAR_OBSERVABLES = ("S1", "Q1", "S2", "Q2", "S", "Q", "mean_n1", "mean_n2",
-                       "kc_compound", "kc_single", "pnd_odd_mass", "wigner_min",
-                       "wigner_cut_min")
-
-
-def _eval_observable(cfg: RunConfig, system: System, t: float) -> float:
-    name = cfg.observable
-    if name in ("S1", "Q1", "S2", "Q2"):
-        return getattr(single_mode_squeezing(int(name[1]), system, t), name[0])
-    if name in ("S", "Q"):
-        return getattr(two_mode_squeezing(system, t), name)
-    if name in ("mean_n1", "mean_n2"):
-        return moment(*((1, 1, 0, 0) if name == "mean_n1" else (0, 0, 1, 1)), system, t).real
-    if name in ("kc_compound", "kc_single"):
-        return factorial_moments(system, t, cfg.k, scope=name[3:], mode=cfg.mode)[1]
-    if name == "pnd_odd_mass":
-        d = sum_pnd(system, t, n_max=cfg.n_max)
-        return float(np.sum(d.probs[1::2]))
-    if name == "wigner_min":
-        return float(wigner_grid(system, t, _grid_spec(cfg.grid), mode=cfg.mode).values.min())
-    if name == "wigner_cut_min":
-        return float(wigner_cut(system, t, y=cfg.cut_y, mode=cfg.mode)[1].min())
-    raise ConfigError(f"observable: unknown {name!r}; choose from {_SCALAR_OBSERVABLES}")
+# scan observable -> evaluator(cfg, system, t)
+_OBSERVABLES = {
+    "S1": lambda c, s, t: single_mode_squeezing(1, s, t).S,
+    "Q1": lambda c, s, t: single_mode_squeezing(1, s, t).Q,
+    "S2": lambda c, s, t: single_mode_squeezing(2, s, t).S,
+    "Q2": lambda c, s, t: single_mode_squeezing(2, s, t).Q,
+    "S": lambda c, s, t: two_mode_squeezing(s, t).S,
+    "Q": lambda c, s, t: two_mode_squeezing(s, t).Q,
+    "mean_n1": lambda c, s, t: moment(1, 1, 0, 0, s, t).real,
+    "mean_n2": lambda c, s, t: moment(0, 0, 1, 1, s, t).real,
+    "kc_compound": lambda c, s, t: factorial_moments(s, t, c.k, "compound", c.mode)[1],
+    "kc_single": lambda c, s, t: factorial_moments(s, t, c.k, "single", c.mode)[1],
+    "pnd_odd_mass": lambda c, s, t: float(np.sum(sum_pnd(s, t, n_max=c.n_max).probs[1::2])),
+    "wigner_min": lambda c, s, t: float(wigner_grid(s, t, c._grid, c.mode).values.min()),
+    "wigner_cut_min": lambda c, s, t: float(wigner_cut(s, t, c.cut_y, mode=c.mode)[1].min()),
+}
 
 
 def _with_field(system: System, t: float, name: str, value: float) -> tuple[System, float]:
@@ -487,7 +483,7 @@ def _scan_axis(scan: dict, key: str, vkey: str, known: set[str]) -> tuple[str, n
     if key not in scan:
         raise ConfigError(f"scan.{key}: required")
     fieldname = scan[key]
-    if fieldname not in known:
+    if not isinstance(fieldname, str) or fieldname not in known:
         raise ConfigError(f"scan.{key}: unknown field {fieldname!r}")
     vals = scan.get(vkey)
     if not isinstance(vals, list) or len(vals) == 0:
@@ -500,6 +496,10 @@ def cmd_scan(cfg: RunConfig) -> list[str]:
         raise ConfigError("scan: required for the scan command")
     if not cfg.observable:
         raise ConfigError("observable: required for the scan command")
+    evaluate = _OBSERVABLES.get(cfg.observable)
+    if evaluate is None:
+        raise ConfigError(f"observable: unknown {cfg.observable!r}; "
+                          f"choose from {tuple(_OBSERVABLES)}")
     base = cfg.system
     known = {"t", *(f"{group.name}.{f.name}" for group in fields(base)
                     for f in fields(getattr(base, group.name)))}
@@ -512,40 +512,23 @@ def cmd_scan(cfg: RunConfig) -> list[str]:
         system, t = base, cfg.time
         for name, value in zip(names, point):
             system, t = _with_field(system, t, name, value)
-        results.append(_eval_observable(cfg, system, t))
+        results.append(evaluate(cfg, system, t))
     meta = {"scenario": cfg.scenario, "config": cfg.to_dict()}
     return _emit(cfg.out, cfg.format, [*names, cfg.observable],
                  [*map(np.asarray, zip(*points)), np.asarray(results)], meta)
 
 
-def _grid_spec(grid: dict | None) -> GridSpec | None:
-    if not grid:
-        return None
-    try:
-        spec = GridSpec(*(_number(grid[k], f"grid.{k}")
-                          for k in ("x_min", "x_max", "y_min", "y_max")),
-                        nx=_number(grid.get("nx", 201), "grid.nx", int),
-                        ny=_number(grid.get("ny", 201), "grid.ny", int))
-    except KeyError as exc:
-        raise ConfigError(f"grid.{exc.args[0]}: required") from None
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-    if min(spec.nx, spec.ny) < 2:
-        raise ConfigError("grid: nx and ny must be >= 2")
-    return spec
-
-
 def cmd_wigner(cfg: RunConfig) -> list[str]:
-    columns, features, cut, _ = _wigner(cfg.system, cfg.time, _grid_spec(cfg.grid),
-                                        cfg.mode, cfg.cut_y)
+    columns, features, cut, _ = _wigner(cfg.system, cfg.time, cfg._grid, cfg.mode, cfg.cut_y)
     meta = {"scenario": cfg.scenario, "config": cfg.to_dict(), "features": features,
             "cut": cut}
     return _emit(cfg.out, cfg.format, ["x", "y", "w"], columns, meta)
 
 
 def cmd_pnd(cfg: RunConfig) -> list[str]:
+    if cfg.observable not in ("", "single"):
+        raise ConfigError(f"observable: unknown {cfg.observable!r} for pnd; choose '' "
+                          "(the sum n1 + n2) or 'single' (the marginal of mode)")
     dist = (single_pnd(cfg.mode, cfg.system, cfg.time, n_max=cfg.n_max)
             if cfg.observable == "single" else sum_pnd(cfg.system, cfg.time, n_max=cfg.n_max))
     parts = {f"p_{c.name.lower()}": p for c, p in (dist.class_parts or {}).items()}
@@ -614,7 +597,7 @@ _ENVELOPES = {
 }
 
 
-def cmd_oracle_check(envelope: str, out: str | None, fmt: str) -> list[str]:
+def cmd_oracle_check(envelope: str, out: str, fmt: str) -> list[str]:
     if envelope not in _ENVELOPES:
         raise ConfigError("envelope: must be 'small' or 'full'")
     cases, extent, npts = _ENVELOPES[envelope]
@@ -624,7 +607,6 @@ def cmd_oracle_check(envelope: str, out: str | None, fmt: str) -> list[str]:
         devs = _oracle_deviations(system, t, dims, extent, npts)
         rows += [(label, k, v) for k, v in sorted(devs.items())]
     labels, observables, deviations = zip(*rows)
-    out = out or f"oracle_check_{envelope}.csv"
     meta = {"envelope": envelope, "max_abs_deviation": float(np.max(deviations))}
     return _emit(out, fmt, ["case", "observable", "max_abs_deviation"],
                  [np.array(labels, dtype=object), np.array(observables, dtype=object),
@@ -634,11 +616,26 @@ def cmd_oracle_check(envelope: str, out: str | None, fmt: str) -> list[str]:
 # --- entry point ----------------------------------------------------------------
 
 
-_CONFIG_COMMANDS = {
-    "scan": (cmd_scan, "sweep a parameter and record an observable"),
-    "wigner": (cmd_wigner, "phase-space grid and cut"),
-    "pnd": (cmd_pnd, "photon-number distribution"),
-    "squeeze": (cmd_squeeze, "squeezing factors"),
+def _config_command(help_text: str, cmd) -> tuple:
+    """The _COMMANDS entry of a command that runs cmd on its --config file."""
+    return (help_text, {"--config": dict(required=True)}, None,
+            lambda args: cmd(load_config(args.config)))
+
+
+# command -> (help, its own arguments, default output name or None, run(args)); a
+# command with a default output name takes --out and --format, every one --strict
+_COMMANDS = {
+    "figure": ("emit a built-in figure dataset",
+               {"id": dict(help=f"figure id, one of {', '.join(FIGURE_IDS)}")},
+               "figure_{id}", lambda args: cmd_figure(args.id, args.out, args.format)),
+    "scan": _config_command("sweep a parameter and record an observable", cmd_scan),
+    "wigner": _config_command("phase-space grid and cut", cmd_wigner),
+    "pnd": _config_command("photon-number distribution", cmd_pnd),
+    "squeeze": _config_command("squeezing factors", cmd_squeeze),
+    "oracle-check": ("compare closed forms against the Fock-space reference",
+                     {"--envelope": dict(choices=tuple(_ENVELOPES), default="small")},
+                     "oracle_check_{envelope}",
+                     lambda args: cmd_oracle_check(args.envelope, args.out, args.format)),
 }
 
 
@@ -649,39 +646,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "figure datasets, scans and reference checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fig = sub.add_parser("figure", help="emit a built-in figure dataset")
-    p_fig.add_argument("id", help=f"figure id, one of {', '.join(FIGURE_IDS)}")
-    p_fig.add_argument("--out", default=None)
-    p_fig.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_fig.add_argument("--strict", action="store_true",
-                       help="exit 3 when a numeric warning fires")
-
-    for name, (_, help_text) in _CONFIG_COMMANDS.items():
+    for name, (help_text, arguments, out, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True)
-        p.add_argument("--strict", action="store_true")
-
-    p_oc = sub.add_parser("oracle-check",
-                          help="compare closed forms against the Fock-space reference")
-    p_oc.add_argument("--envelope", choices=("small", "full"), default="small")
-    p_oc.add_argument("--out", default=None)
-    p_oc.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_oc.add_argument("--strict", action="store_true")
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        if out:
+            p.add_argument("--out", default=None, help=f"default {out}.<format>")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 3 when a numeric warning fires")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _, _, out, run = _COMMANDS[args.command]
+    if out and args.out is None:
+        args.out = f"{out.format_map(vars(args))}.{args.format}"
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if args.command == "figure":
-                written = cmd_figure(args.id, args.out, args.format)
-            elif args.command == "oracle-check":
-                written = cmd_oracle_check(args.envelope, args.out, args.format)
-            else:
-                written = _CONFIG_COMMANDS[args.command][0](load_config(args.config))
+            written = run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

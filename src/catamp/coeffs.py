@@ -182,11 +182,12 @@ def evolve_terms(system: System, t: float) -> EvolvedTerms:
     and the same t object come back, as they do when one observable calls
     another at one point.  Identity, not equality, is the key: equality
     takes -0.0 for 0.0 (in t and in amp_phase), and a hit would then return
-    bits that depend on the call order.
+    bits that depend on the call order.  Only a float t can hit: a 0-d array
+    is the same object after its value changed.
     """
     global _last
     s0, t0, ev = _last
-    if system is s0 and t is t0:
+    if system is s0 and t is t0 and isinstance(t, float):
         return ev
     ev = _evolve(system, t)
     _last = (system, t, ev)

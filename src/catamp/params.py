@@ -16,7 +16,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegenerateCat(ValueError):
-    """Odd cat at zero amplitude: the superposition is the zero vector."""
+    """A cat whose two components cancel: the superposition is the zero vector."""
 
 
 def _finite(name: str, value: float) -> float:
@@ -66,10 +66,7 @@ class CatSpec:
         object.__setattr__(self, "amp_mag", _finite("amp_mag", self.amp_mag))
         for name in ("amp_phase", "rel_phase"):
             object.__setattr__(self, name, _canonical_phase(_finite(name, getattr(self, name))))
-        if self.amp_mag == 0.0 and self.rel_phase == math.pi:
-            raise DegenerateCat(
-                "odd cat with zero amplitude is the zero vector (no normalization)"
-            )
+        normalization(self)
 
     @classmethod
     def even(cls, amp_mag: float, amp_phase: float = 0.0) -> "CatSpec":
@@ -93,12 +90,13 @@ def normalization(cat: CatSpec) -> float:
     """Squared normalization constant N^2 of the two-component superposition.
 
     N^2 = 1 / (2*(1 + exp(-2*|alpha|^2) * cos(rel_phase))), finite and positive
-    for every constructible CatSpec (the degenerate odd-cat point is rejected
-    at construction).
+    for every constructible CatSpec: construction calls this, so a cat whose
+    denominator rounds to 0 is refused there.
     """
     den = 2.0 * (1.0 + math.exp(-2.0 * cat.amp_mag**2) * math.cos(cat.rel_phase))
     if den <= 0.0:
-        raise DegenerateCat("normalization denominator vanished")
+        raise DegenerateCat(
+            f"odd cat with amp_mag {cat.amp_mag} is the zero vector (no normalization)")
     return 1.0 / den
 
 

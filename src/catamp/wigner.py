@@ -101,24 +101,21 @@ def _wigner_sum(ev: EvolvedTerms, x: np.ndarray, y, mode: int) -> np.ndarray:
     return acc.real
 
 
-def _default_grid(ev: EvolvedTerms, mode: int, nx: int = 201, ny: int = 201) -> GridSpec:
-    b, _, abarp = ev.mode(mode)
-    r = float(np.max(np.abs(abarp))) + 5.0 * math.sqrt(1.0 + 2.0 * b)
-    return GridSpec(-r, r, -r, r, nx, ny)
-
-
 def default_grid(system: System, t: float, mode: int = 1,
                  nx: int = 201, ny: int = 201) -> GridSpec:
-    """Symmetric grid covering all drift centres plus 5 noise widths."""
-    return _default_grid(evolve_terms(system, t), mode, nx, ny)
+    """Symmetric grid covering all drift centres plus 5 noise widths; the grid
+    of wigner_grid and wigner_cut when none is given."""
+    b, _, abarp = evolve_terms(system, t).mode(mode)
+    r = float(np.max(np.abs(abarp))) + 5.0 * math.sqrt(1.0 + 2.0 * b)
+    return GridSpec(-r, r, -r, r, nx, ny)
 
 
 def wigner_grid(system: System, t: float, spec: GridSpec | None = None,
                 mode: int = 1) -> PhaseGrid:
     """Wigner function of one mode over a rectangular grid."""
-    ev = evolve_terms(system, t)
     if spec is None:
-        spec = _default_grid(ev, mode)
+        spec = default_grid(system, t, mode)
+    ev = evolve_terms(system, t)
     x = np.linspace(spec.x_min, spec.x_max, spec.nx)
     y = np.linspace(spec.y_min, spec.y_max, spec.ny)
     vals = _wigner_sum(ev, x, y, mode)
@@ -143,14 +140,13 @@ def wigner_cut(system: System, t: float, y: float = -0.25,
     """Wigner values along a constant-y line (exact evaluation, no snapping)."""
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y}")
-    ev = evolve_terms(system, t)
     if x is None:
-        spec = _default_grid(ev, mode)
+        spec = default_grid(system, t, mode)
         x = np.linspace(spec.x_min, spec.x_max, spec.nx)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError("x must be a 1-D array of finite values")
-    return x, _wigner_sum(ev, x, y, mode)
+    return x, _wigner_sum(evolve_terms(system, t), x, y, mode)
 
 
 def _strict_maxima(v: np.ndarray, cut: float) -> list[tuple[float, int, int]]:

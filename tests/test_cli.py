@@ -218,12 +218,19 @@ class TestBadValues:
          "scan: unknown fields ['valuez2']"),
         ("squeeze", {"cat2": {"kind": "odd", "amp_mag": 0.5, "rel_phase": 1.0}},
          "cat2: give kind or rel_phase, not both"),
+        ("pnd", {"observable": "singel"}, "observable: unknown 'singel'"),
+        ("squeeze", {"cat1": {"kind": "odd", "amp_mag": 1e-9}}, "cat1: odd cat"),
+        ("squeeze", {"cat1": {"kind": ["odd"], "amp_mag": 1.0}}, "cat1.kind: must be one of"),
+        ("scan", {"observable": "Q", "scan": {"parameter": ["t"], "values": [0.1]}},
+         "scan.parameter: unknown field ['t']"),
     ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan",
             "time_text", "cut_y_text", "cut_y_inf", "mode_text", "k_text", "n_max_text",
             "n_max_inf", "amp_mag_text", "amp_phase_list", "rel_phase_text", "params_g_text",
             "grid_x_min_nan", "grid_y_max_inf", "grid_nx_text", "k_fraction", "mode_fraction",
             "n_max_fraction", "grid_nx_fraction", "k_bool", "cat_unknown_field",
-            "grid_unknown_field", "scan_unknown_field", "cat_kind_and_rel_phase"])
+            "grid_unknown_field", "scan_unknown_field", "cat_kind_and_rel_phase",
+            "pnd_observable_unknown", "cat_degenerate_odd", "cat_kind_list",
+            "scan_parameter_list"])
     def test_exit_2_names_the_field(self, tmp_path, capsys, command, extra, message):
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, dict(extra, out=str(out)))
@@ -240,6 +247,24 @@ class TestBadValues:
         cfg = write_config(tmp_path, {"out": str(out), "n_max": 10})
         assert main(["pnd", "--config", cfg]) == 2
         assert "error: out: " in capsys.readouterr().err
+
+
+class TestDefaultOut:
+    @pytest.mark.parametrize("argv, name", [
+        (["figure", "8a"], "figure_8a"),
+        (["oracle-check"], "oracle_check_small"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_name_takes_the_format_suffix(self, tmp_path, monkeypatch, argv, name,
+                                                 fmt):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--format", fmt]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        if fmt == "json":
+            assert written == [f"{name}.json"]
+            assert "data" in json.loads((tmp_path / f"{name}.json").read_text())
+        else:
+            assert written == [f"{name}.csv", f"{name}.meta.json"]
 
 
 class TestOtherCommands:

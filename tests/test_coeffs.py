@@ -404,6 +404,15 @@ class TestEvolveMemo:
             with pytest.raises(ValueError):
                 getattr(ev, name)[0] = 0.0
 
+    def test_a_mutable_t_is_never_served_from_the_memo(self):
+        # a 0-d array is the same object after its value changes
+        system = make_system("even", 1.0, "odd", 0.5)
+        t = np.array(0.3)
+        assert ca.moment(1, 1, 0, 0, system, t) == ca.moment(1, 1, 0, 0, system, 0.3)
+        t[...] = 0.6
+        assert ca.moment(1, 1, 0, 0, system, t) == ca.moment(1, 1, 0, 0, system, 0.6)
+        assert ca.evolve_terms(system, t) is not ca.evolve_terms(system, t)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_failed_build_leaves_the_memo_alone(self, bad):
         system = make_system("even", 1.1, "odd", 0.7, gamma=0.3)

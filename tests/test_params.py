@@ -25,6 +25,9 @@ class TestNormalization:
     def test_degenerate_odd_cat_rejected(self):
         with pytest.raises(ca.DegenerateCat):
             ca.CatSpec.odd(0.0)
+        # exp(-2e-18) rounds to 1, so the normalization denominator is 0
+        with pytest.raises(ca.DegenerateCat):
+            ca.CatSpec.odd(1e-9)
         # zero-amplitude even cat is fine (it is the vacuum)
         assert ca.normalization(ca.CatSpec.even(0.0)) == pytest.approx(0.25)
 
