@@ -8,6 +8,8 @@ It writes every figure (CSV and sidecar), figure 5 as JSON, a ``t`` x
 ``cat2.rel_phase`` scan of every scan observable, the ``pnd`` sum and
 single-mode distributions, the squeezing factors, the Wigner grid at the
 default and at a 61 x 51 mode-2 grid, and both ``oracle-check`` envelopes.
+Every command runs under ``--strict``, so a numeric warning (a truncation
+tail or clipped Wigner support) fails the run, as does any nonzero exit.
 It then prints one ``sha256  name`` line per file in OUTDIR, so give it a new
 or empty directory. Two runs (under different BLAS thread counts, or of two
 versions of the package) that print the same manifest wrote the same bytes.
@@ -24,10 +26,9 @@ import os
 import sys
 import tempfile
 
-from catamp.cli import FIGURE_IDS, main
+from catamp.cli import _OBSERVABLES, FIGURE_IDS, main
 
-OBSERVABLES = ("S1", "Q1", "S2", "Q2", "S", "Q", "mean_n1", "mean_n2", "kc_compound",
-               "kc_single", "pnd_odd_mass", "wigner_min", "wigner_cut_min")
+OBSERVABLES = tuple(_OBSERVABLES)
 
 BASE = {
     "scenario": "golden",
@@ -83,7 +84,7 @@ def run(outdir: str) -> int:
         try:
             for argv in commands(configs):
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv)
+                    code = main([*argv, "--strict"])
                 if code != 0:
                     print(f"catamp {' '.join(argv)} exited {code}", file=sys.stderr)
                     return 1

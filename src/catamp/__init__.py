@@ -14,14 +14,8 @@ from .params import (
     System,
     normalization,
 )
-from .coeffs import (
-    EvolvedCoeffs,
-    coeffs_at,
-    dyn_coeffs,
-    evolve_terms,
-    noise_coeffs,
-)
-from .rho_terms import TermClass, coherent_overlap, enumerate_terms
+from .coeffs import EvolvedCoeffs, coeffs_at, evolve_terms
+from .rho_terms import TermClass, enumerate_terms
 from .charfn import (
     MAX_MOMENT_ORDER,
     OrderTooHigh,
@@ -79,16 +73,13 @@ __all__ = [
     "TruncationWarning",
     "char_full",
     "coeffs_at",
-    "coherent_overlap",
     "count_peaks",
     "default_grid",
-    "dyn_coeffs",
     "enumerate_terms",
     "evolve_terms",
     "factorial_moments",
     "generating_quantities",
     "moment",
-    "noise_coeffs",
     "normalization",
     "oracle",
     "q_factor_even_even",

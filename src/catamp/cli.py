@@ -170,8 +170,6 @@ class RunConfig:
             _object(self.scan, "scan", itertools.chain(*_SCAN_AXES))
         # {} asks for the default grid, as None does
         self._grid = None if self.grid in (None, {}) else _read(GridSpec, self.grid, "grid")
-        if self._grid and min(self._grid.nx, self._grid.ny) < 2:
-            raise ConfigError("grid: nx and ny must be >= 2")
 
     @property
     def system(self) -> System:

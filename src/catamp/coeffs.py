@@ -2,12 +2,13 @@
 
 The Heisenberg-Langevin solution propagates the two mode operators with three
 amplitude coefficients f1, f2, f3 and accumulates Gaussian noise described by
-two variances B1N, B2N and one anomalous cross-correlation D.  The amplitude
-coefficients are evaluated as decay envelope times cosh/sinh, and the noise
-as one integral of the drift exponential split over its two eigenprojectors,
-which has no denominator that vanishes on the gamma1*gamma2 = 4 g^2 surface.
-evolve_terms combines the coefficients with the term table of rho_terms into
-the record the observables read, once per (system, t).
+two variances B1N, B2N and one anomalous cross-correlation D.  Both come from
+one drift matrix, split over its two eigenprojectors: the amplitudes are its
+exponential, decay envelope times cosh/sinh, and the noise one integral of
+that exponential, which has no denominator that vanishes on the
+gamma1*gamma2 = 4 g^2 surface.  evolve_terms combines the coefficients with
+the term table of rho_terms into the record the observables read, once per
+(system, t).
 """
 
 from __future__ import annotations
@@ -39,60 +40,44 @@ class EvolvedCoeffs:
     D: complex
 
 
-def _sinhc(x: float) -> float:
-    """sinh(x)/x, by series below |x| = 1e-4 (removable singularity)."""
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
-
-
-def _check_time(t: float) -> None:
-    """ValueError naming t unless it is finite and >= 0."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-
-
-def dyn_coeffs(params: AmplifierParams, t: float) -> tuple[float, complex, float]:
-    """Amplitude-propagation coefficients (f1, f2, f3) at time t >= 0."""
-    _check_time(t)
-    g1, g2, g = params.gamma1, params.gamma2, params.g
-    eps = params.eps
-    se = math.sqrt(eps)
-    x = se * t / 4.0
-    decay = math.exp(-(g1 + g2) * t / 4.0)
-    shc = _sinhc(x)
-    f1 = decay * (math.cosh(x) + (g2 - g1) * (t / 4.0) * shc)
-    f3 = decay * (math.cosh(x) + (g1 - g2) * (t / 4.0) * shc)
-    f2 = 1j * g * t * cmath.exp(1j * params.pump_phase) * decay * shc
-    return f1, f2, f3
-
-
 def _phi(x: float, t: float) -> float:
     """Integral of e^{x s} over 0 <= s <= t."""
     xt = x * t
     return t * math.expm1(xt) / xt if xt else t
 
 
-def noise_coeffs(params: AmplifierParams, t: float) -> tuple[float, float, complex]:
-    """Noise variances and anomalous correlation (B1N, B2N, D) at time t >= 0.
+def coeffs_at(params: AmplifierParams, t: float) -> EvolvedCoeffs:
+    """All coefficients at time t >= 0, from the drift of (a1, a2+).
 
-    The drift of (a1, a2+) is M = -sigma*I + H with H = [[delta, kappa],
-    [kappa*, -delta]], H^2 = omega^2*I, and the noise record is
+    The drift is M = -sigma*I + H with H = [[delta, kappa], [kappa*, -delta]]
+    and H^2 = omega^2*I.  The amplitudes f1, f2, f3 are the entries (1,1),
+    (1,2) and (2,2) of e^{Mt} = e^{-sigma t}[cosh(omega t) I
+    + t sinh(omega t)/(omega t) H].  The noise record is
     X = int_0^t e^{Ms} Q e^{M+s} ds with Q = [[gamma1*nbar1, kappa],
     [kappa*, gamma2*nbar2]].  Splitting e^{Ms} over the projectors (I +- R)/2,
     R = H/omega, gives X = [(P++ + P-- + 2P+-) Q + (P++ - P--) (QR + RQ)
     + (P++ + P-- - 2P+-) RQR] / 4, with P the integrals of the three exponents
     e^{2(omega - sigma)s}, e^{-2(omega + sigma)s} and e^{-2 sigma s}.  No
     denominator vanishes on the critical surface gamma1*gamma2 = 4g^2.
-    B1N = X11, B2N = X22 and D = conj(X12).
+    B1N = X11, B2N = X22 and D = conj(X12).  Every observable evaluates
+    through here, so a non-finite t is refused for all of them.
     """
-    _check_time(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     g, g1, g2 = params.g, params.gamma1, params.gamma2
     q1, q2 = g1 * params.nbar1, g2 * params.nbar2
-    kappa = 1j * g * cmath.exp(1j * params.pump_phase)
+    phasor = cmath.exp(1j * params.pump_phase)
+    kappa = 1j * g * phasor
     sigma = (g1 + g2) / 4.0
     omega = math.sqrt(params.eps) / 4.0
+
+    x = omega * t
+    decay = math.exp(-sigma * t)
+    shc = math.sinh(x) / x if x else 1.0  # x = 0 is the removable singularity
+    f1 = decay * (math.cosh(x) + (g2 - g1) * (t / 4.0) * shc)
+    f3 = decay * (math.cosh(x) + (g1 - g2) * (t / 4.0) * shc)
+    f2 = 1j * g * t * phasor * decay * shc
+
     # R = H/omega = [[r, k], [k*, -r]] with |k| = u = g/omega; R = 0 where H = 0
     # (g = 0 and gamma1 = gamma2)
     r, k, u = ((g2 - g1) / 4.0 / omega, kappa / omega, g / omega) if omega else (0.0, 0j, 0.0)
@@ -111,15 +96,8 @@ def noise_coeffs(params: AmplifierParams, t: float) -> tuple[float, float, compl
     # (QR + RQ)_12 = k(q1 + q2), (RQR)_12 = r k (q1 - q2) + kappa (u^2 - r^2)
     x12 = 0.25 * (s * kappa + d * k * (q1 + q2)
                   + c * (r * k * (q1 - q2) + kappa * (u * u - r * r)))
-    return diag(r, q1, q2), diag(-r, q2, q1), x12.conjugate()
-
-
-def coeffs_at(params: AmplifierParams, t: float) -> EvolvedCoeffs:
-    """Assemble the full coefficient record for one time; every observable
-    evaluates through here, so a non-finite t is refused for all of them."""
-    f1, f2, f3 = dyn_coeffs(params, t)
-    b1, b2, d = noise_coeffs(params, t)
-    return EvolvedCoeffs(f1=f1, f2=f2, f3=f3, B1N=b1, B2N=b2, D=d)
+    return EvolvedCoeffs(f1=f1, f2=f2, f3=f3, B1N=diag(r, q1, q2), B2N=diag(-r, q2, q1),
+                         D=x12.conjugate())
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,9 @@ class GridSpec:
         for name in ("x_min", "x_max", "y_min", "y_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        # one point is a line, allowed only where the axis has zero width
-        for n, lo, hi in (("nx", self.x_min, self.x_max), ("ny", self.y_min, self.y_max)):
-            size = getattr(self, n)
-            if size < 2 and not (size == 1 and lo == hi):
-                raise ValueError(f"{n} must be >= 2 (1 on a zero-width axis), got {size}")
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,6 @@ class PhaseGrid:
 
     def integral(self) -> float:
         """Riemann sum of W over the grid."""
-        if min(self.spec.nx, self.spec.ny) < 2:
-            raise ValueError("integral needs nx, ny >= 2; a line grid has no area")
         dx = (self.spec.x_max - self.spec.x_min) / (self.spec.nx - 1)
         dy = (self.spec.y_max - self.spec.y_min) / (self.spec.ny - 1)
         return float(np.sum(self.values)) * dx * dy
@@ -101,13 +97,12 @@ def _wigner_sum(ev: EvolvedTerms, x: np.ndarray, y, mode: int) -> np.ndarray:
     return acc.real
 
 
-def default_grid(system: System, t: float, mode: int = 1,
-                 nx: int = 201, ny: int = 201) -> GridSpec:
+def default_grid(system: System, t: float, mode: int = 1) -> GridSpec:
     """Symmetric grid covering all drift centres plus 5 noise widths; the grid
     of wigner_grid and wigner_cut when none is given."""
     b, _, abarp = evolve_terms(system, t).mode(mode)
     r = float(np.max(np.abs(abarp))) + 5.0 * math.sqrt(1.0 + 2.0 * b)
-    return GridSpec(-r, r, -r, r, nx, ny)
+    return GridSpec(-r, r, -r, r)
 
 
 def wigner_grid(system: System, t: float, spec: GridSpec | None = None,

@@ -19,6 +19,29 @@ def symmetric_f1(g, gamma, t):
     return 0.5 * (math.exp((g - gamma / 2) * t) + math.exp(-(g + gamma / 2) * t))
 
 
+def amplitudes(params, t):
+    """(f1, f2, f3) of the coefficient record."""
+    c = ca.coeffs_at(params, t)
+    return c.f1, c.f2, c.f3
+
+
+def noise(params, t):
+    """(B1N, B2N, D) of the coefficient record."""
+    c = ca.coeffs_at(params, t)
+    return c.B1N, c.B2N, c.D
+
+
+def drift_exponential(g, pump, gamma1, gamma2, t):
+    """(f1, f2, f3) at 50 digits: the entries (1,1), (1,2), (2,2) of e^{Mt},
+    with M the drift of (a1, a2+)."""
+    with mpmath.workdps(50):
+        g, pump, gamma1, gamma2, t = map(mpmath.mpf, (g, pump, gamma1, gamma2, t))
+        kappa = 1j * g * mpmath.expj(pump)
+        m = mpmath.matrix([[-gamma1 / 2, kappa], [mpmath.conj(kappa), -gamma2 / 2]])
+        e = mpmath.expm(m * t)
+        return float(e[0, 0].real), complex(e[0, 1]), float(e[1, 1].real)
+
+
 def van_loan_noise(g, pump, gamma1, gamma2, nbar1, nbar2, t):
     """(B1N, B2N, D) at 40 digits: X = int_0^t e^{Ms} Q e^{M+s} ds = e^{Mt} G,
     where G is the top-right block of expm([[-M, Q], [0, M+]] t) (Van Loan
@@ -45,7 +68,7 @@ class TestDynCoeffs:
                 g=float(rng.uniform(0, 2)), pump_phase=float(rng.uniform(0, 6)),
                 gamma1=float(rng.uniform(0, 3)), gamma2=float(rng.uniform(0, 3)),
             )
-            f1, f2, f3 = ca.dyn_coeffs(p, 0.0)
+            f1, f2, f3 = amplitudes(p, 0.0)
             assert f1 == pytest.approx(1.0)
             assert f2 == 0
             assert f3 == pytest.approx(1.0)
@@ -53,7 +76,7 @@ class TestDynCoeffs:
     def test_undamped_closed_forms(self):
         p = ca.AmplifierParams(g=0.8, pump_phase=0.6)
         for t in (0.1, 0.7, 2.0):
-            f1, f2, f3 = ca.dyn_coeffs(p, t)
+            f1, f2, f3 = amplitudes(p, t)
             assert f1 == pytest.approx(math.cosh(0.8 * t), rel=1e-14)
             assert f3 == pytest.approx(math.cosh(0.8 * t), rel=1e-14)
             assert f2 == pytest.approx(1j * np.exp(0.6j) * math.sinh(0.8 * t), rel=1e-14)
@@ -64,7 +87,7 @@ class TestDynCoeffs:
     def test_symmetric_losses_match_reference_form(self, g, gamma):
         p = ca.AmplifierParams(g=g, gamma1=gamma, gamma2=gamma)
         for t in np.linspace(0.0, 3.0, 13):
-            f1, _, f3 = ca.dyn_coeffs(p, float(t))
+            f1, _, f3 = amplitudes(p, float(t))
             ref = symmetric_f1(g, gamma, float(t))
             assert abs(f1 - ref) < 1e-13
             assert abs(f3 - ref) < 1e-13
@@ -72,22 +95,33 @@ class TestDynCoeffs:
     def test_pure_decay_limit(self):
         # g = 0: amplitude decays as e^{-gamma_j t / 2}
         p = ca.AmplifierParams(g=0.0, gamma1=1.2, gamma2=0.4)
-        f1, f2, f3 = ca.dyn_coeffs(p, 0.9)
+        f1, f2, f3 = amplitudes(p, 0.9)
         assert f1 == pytest.approx(math.exp(-1.2 * 0.9 / 2), rel=1e-12)
         assert f3 == pytest.approx(math.exp(-0.4 * 0.9 / 2), rel=1e-12)
         assert f2 == 0
 
     def test_removable_singularity_g0_symmetric(self):
         p = ca.AmplifierParams(g=0.0, gamma1=0.7, gamma2=0.7)
-        f1, f2, f3 = ca.dyn_coeffs(p, 1.3)
+        f1, f2, f3 = amplitudes(p, 1.3)
         assert f1 == pytest.approx(math.exp(-0.7 * 1.3 / 2), rel=1e-12)
         assert f3 == pytest.approx(f1)
+
+    @pytest.mark.parametrize("gt", [1e-9, 1e-6, 3e-5])
+    def test_small_x_matches_50_digit_exponential(self, gt):
+        # sinh(x)/x at small x = omega*t, where only x = 0 is special: each
+        # coefficient within 4 ulp of its magnitude
+        for g, pump, gamma1, gamma2 in ((1.0, 0.7, 0.3, 0.9), (2.5, 2.1, 1.7, 0.2)):
+            t = gt / g
+            got = amplitudes(ca.AmplifierParams(g=g, pump_phase=pump, gamma1=gamma1,
+                                                gamma2=gamma2), t)
+            for value, want in zip(got, drift_exponential(g, pump, gamma1, gamma2, t)):
+                assert abs(value - want) <= 4 * math.ulp(abs(want))
 
 
 class TestNoiseCoeffs:
     def test_initial_condition(self):
         p = ca.AmplifierParams(g=1.0, gamma1=0.5, gamma2=1.5, nbar1=0.3, nbar2=0.7)
-        b1, b2, d = ca.noise_coeffs(p, 0.0)
+        b1, b2, d = noise(p, 0.0)
         assert b1 == pytest.approx(0.0, abs=1e-15)
         assert b2 == pytest.approx(0.0, abs=1e-15)
         assert abs(d) == pytest.approx(0.0, abs=1e-15)
@@ -95,7 +129,7 @@ class TestNoiseCoeffs:
     def test_undamped_limits(self):
         p = ca.AmplifierParams(g=0.9, pump_phase=1.1)
         for t in (0.2, 0.8):
-            b1, b2, d = ca.noise_coeffs(p, t)
+            b1, b2, d = noise(p, t)
             assert b1 == pytest.approx(math.sinh(0.9 * t) ** 2, rel=1e-12)
             assert b2 == pytest.approx(b1, rel=1e-12)
             assert abs(d) == pytest.approx(
@@ -106,7 +140,7 @@ class TestNoiseCoeffs:
         # g = 0, symmetric losses: each mode relaxes to its own reservoir
         p = ca.AmplifierParams(g=0.0, gamma1=0.8, gamma2=0.8, nbar1=0.4, nbar2=1.1)
         t = 1.7
-        b1, b2, d = ca.noise_coeffs(p, t)
+        b1, b2, d = noise(p, t)
         assert b1 == pytest.approx(0.4 * -math.expm1(-0.8 * t), rel=1e-12)
         assert b2 == pytest.approx(1.1 * -math.expm1(-0.8 * t), rel=1e-12)
         assert abs(d) < 1e-15
@@ -119,8 +153,8 @@ class TestNoiseCoeffs:
             t = float(rng.uniform(0, 2))
             pa = ca.AmplifierParams(g=g, gamma1=g1, gamma2=g2, nbar1=n1, nbar2=n2)
             pb = ca.AmplifierParams(g=g, gamma1=g2, gamma2=g1, nbar1=n2, nbar2=n1)
-            b1a, b2a, _ = ca.noise_coeffs(pa, t)
-            b1b, b2b, _ = ca.noise_coeffs(pb, t)
+            b1a, b2a, _ = noise(pa, t)
+            b1b, b2b, _ = noise(pb, t)
             assert b1a == b2b
             assert b2a == b1b
 
@@ -133,7 +167,7 @@ class TestNoiseCoeffs:
                 nbar1=float(rng.uniform(0, 3)), nbar2=float(rng.uniform(0, 3)),
             )
             t = float(rng.uniform(0.0, 5.0 / g))
-            b1, b2, _ = ca.noise_coeffs(p, t)
+            b1, b2, _ = noise(p, t)
             assert b1 >= -1e-14
             assert b2 >= -1e-14
 
@@ -144,7 +178,7 @@ class TestNoiseCoeffs:
         vac = ca.System(ca.CatSpec.even(0.0), ca.CatSpec.even(0.0), p)
         state = oracle.build_initial(vac.cat1, vac.cat2, 14, 14)
         evolved = oracle.evolve(state, p, 0.35)
-        b1, b2, d = ca.noise_coeffs(p, 0.35)
+        b1, b2, d = noise(p, 0.35)
         assert b1 == pytest.approx(oracle.fock_moment(evolved, 1, 1, 0, 0).real, abs=2e-5)
         assert b2 == pytest.approx(oracle.fock_moment(evolved, 0, 0, 1, 1).real, abs=2e-5)
         # D is the anomalous moment <A1+ A2+> = conj<a1 a2>
@@ -155,12 +189,12 @@ class TestNoiseCoeffs:
         # values on the singular surface sit between nearby off-surface values
         g = 1.0
         p_c = ca.AmplifierParams(g=g, gamma1=2.0, gamma2=2.0, nbar1=0.5, nbar2=0.5)
-        b1c, _, dc = ca.noise_coeffs(p_c, 0.7)
+        b1c, _, dc = noise(p_c, 0.7)
         vals = []
         for fac in (0.999, 1.001):
             p = ca.AmplifierParams(g=g, gamma1=2.0 * fac, gamma2=2.0 * fac,
                                    nbar1=0.5, nbar2=0.5)
-            vals.append(ca.noise_coeffs(p, 0.7)[0])
+            vals.append(noise(p, 0.7)[0])
         assert min(vals) - 1e-6 <= b1c <= max(vals) + 1e-6
         assert abs(dc) > 0
 
@@ -188,7 +222,7 @@ class TestNoiseCoeffs:
         p = ca.AmplifierParams(*fields)
         ref = van_loan_noise(*fields, t)
         scale = max(1.0, *(abs(v) for v in ref))
-        for got, want in zip(ca.noise_coeffs(p, t), ref):
+        for got, want in zip(noise(p, t), ref):
             assert abs(got - want) <= 1e-14 * scale
 
 
@@ -202,7 +236,7 @@ def test_noise_is_a_physical_covariance(params, lossless, t):
     # with equality for the pure two-mode squeezed vacuum of the lossless amplifier
     if lossless:
         params = dataclasses.replace(params, gamma1=0.0, gamma2=0.0)
-    b1, b2, d = ca.noise_coeffs(params, t)
+    b1, b2, d = noise(params, t)
     bound = min(b1 * (1.0 + b2), (1.0 + b1) * b2)
     if lossless:
         assert abs(abs(d) ** 2 - bound) <= 1e-11 * bound
@@ -256,17 +290,15 @@ class TestCoeffsRecord:
 
 
 class TestNonFiniteTime:
-    # the coefficient functions refuse the time, so every observable does
+    # coeffs_at refuses the time, so every observable does
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("observable", [
         lambda s, t: ca.moment(1, 1, 0, 0, s, t),
         lambda s, t: ca.two_mode_squeezing(s, t),
         lambda s, t: ca.sum_pnd(s, t),
         lambda s, t: ca.wigner_grid(s, t),
-        lambda s, t: ca.dyn_coeffs(s.params, t),
-        lambda s, t: ca.noise_coeffs(s.params, t),
-    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid", "dyn_coeffs",
-            "noise_coeffs"])
+        lambda s, t: ca.coeffs_at(s.params, t),
+    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid", "coeffs_at"])
     def test_observables_name_t(self, observable, t):
         system = make_system("even", 1.0, "odd", 0.5)
         with pytest.raises(ValueError, match="t must be finite"):

@@ -186,7 +186,7 @@ class TestGrid:
                                         gamma2=gamma, nbar1=nbar, nbar2=nbar)
             system = ca.System(ca.CatSpec.even(0.0), ca.CatSpec.even(0.0), params)
             t = 0.5
-            b1 = ca.noise_coeffs(params, t)[0]
+            b1 = ca.coeffs_at(params, t).B1N
             spec = GridSpec(-8, 8, -8, 8, 161, 161)
             grid = ca.wigner_grid(system, t, spec)
             xs = grid.x
@@ -211,7 +211,7 @@ class TestCutAndPeaks:
     @pytest.mark.filterwarnings("ignore::catamp.SupportWarning")
     def test_cut_equals_grid_row(self):
         system = make_system("even", 1.5, "even", 1.0)
-        spec = GridSpec(-6, 6, -0.25, -0.25, 101, 1)
+        spec = GridSpec(-6, 6, -0.25, 0.25, 101, 2)
         grid = ca.wigner_grid(system, 0.3, spec)
         xs, cut = ca.wigner_cut(system, 0.3, y=-0.25, x=grid.x)
         assert np.allclose(cut, grid.values[0], atol=1e-15)
@@ -236,11 +236,12 @@ class TestCutAndPeaks:
                 GridSpec(**dict(bounds, **{field: bad}))
 
     def test_single_point_axis_needs_zero_width(self):
-        with pytest.raises(ValueError, match="nx must be >= 2"):
+        # refused on every axis, a zero-width one included: a grid has an area
+        with pytest.raises(ValueError, match="nx must be >= 2, got 1"):
             GridSpec(-1.0, 1.0, -1.0, 1.0, nx=1)
-        line = ca.PhaseGrid(GridSpec(-6, 6, -0.25, -0.25, 11, 1), np.zeros((1, 11)))
-        with pytest.raises(ValueError, match="line grid has no area"):
-            line.integral()
+        for y_max in (1.0, -1.0):
+            with pytest.raises(ValueError, match="ny must be >= 2, got 1"):
+                GridSpec(-1.0, 1.0, -1.0, y_max, ny=1)
 
     def test_fig1_negativity_switch(self):
         # negativity on the reference cut appears only for a larger signal cat
