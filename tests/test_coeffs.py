@@ -297,8 +297,10 @@ class TestNonFiniteTime:
         lambda s, t: ca.two_mode_squeezing(s, t),
         lambda s, t: ca.sum_pnd(s, t),
         lambda s, t: ca.wigner_grid(s, t),
-        lambda s, t: ca.coeffs_at(s.params, t),
-    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid", "coeffs_at"])
+        lambda s, t: amplitudes(s.params, t),
+        lambda s, t: noise(s.params, t),
+    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid", "dyn_coeffs",
+            "noise_coeffs"])
     def test_observables_name_t(self, observable, t):
         system = make_system("even", 1.0, "odd", 0.5)
         with pytest.raises(ValueError, match="t must be finite"):
