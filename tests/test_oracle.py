@@ -92,6 +92,20 @@ class TestEvolve:
                        lambda s: oracle.squeeze_factors(s)["Q"]):
             assert getter(coarse) == pytest.approx(getter(fine), abs=1e-8)
 
+    @pytest.mark.parametrize("params", [
+        ca.AmplifierParams(g=1.0, pump_phase=0.7),
+        ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5, nbar1=0.3, nbar2=0.2),
+    ], ids=["lossless", "damped"])
+    def test_zero_time_is_identity(self, params):
+        # the Liouvillian is scaled by t in place; at t = 0 every entry comes
+        # back exactly (only a zero's sign may flip: expm_multiply's closing
+        # factor e^0 = 1 turns a -0.0 imaginary part into +0.0), and the input
+        # array is left as it was, byte for byte
+        state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 14, 14)
+        before = state.rho.copy()
+        assert np.array_equal(oracle.evolve(state, params, 0.0).rho, before)
+        assert state.rho.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     @pytest.mark.parametrize("params", [
         ca.AmplifierParams(g=1.0, pump_phase=0.7),
@@ -142,6 +156,17 @@ class TestPropagator:
         got = oracle.evolve(state, params, t).rho
         assert np.max(np.abs(got - expect)) < 1e-13
 
+    @pytest.mark.parametrize("params", [
+        ca.AmplifierParams(g=1.0, pump_phase=0.7),
+        ca.AmplifierParams(g=0.8, pump_phase=1.3, gamma1=1.0, gamma2=0.5, nbar1=0.3, nbar2=0.2),
+        ca.AmplifierParams(g=1.2, pump_phase=0.4, gamma1=0.7),
+    ], ids=["lossless", "damped-thermal", "one-sided-zero-nbar"])
+    def test_liouvillian_matches_dense_generator(self, params):
+        state = oracle.FockState(4, 3, np.zeros((12, 12), dtype=complex))
+        expect = _dense_generator(params, state)
+        got = oracle._liouvillian(params, 4, 3).toarray()
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
     def test_damped_matches_dense_exponential(self):
         params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
                                     nbar1=0.3, nbar2=0.2)
@@ -152,20 +177,23 @@ class TestPropagator:
         assert np.max(np.abs(got - expect)) < 1e-13
 
     def test_bit_identical_under_any_global_rng_state(self):
-        # the 1-norm estimate inside expm_multiply draws from np.random
+        # expm_multiply takes the exact 1-norm of the sparse tL; it draws from
+        # np.random only to estimate 1-norms of powers of a large tL, which
+        # t = 3 reaches here and t = 0.3 does not
         params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
                                     nbar1=0.3, nbar2=0.2)
         state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 12, 12)
         saved = np.random.get_state()
         try:
-            digests = set()
-            for seed in (0, 12345):
-                np.random.seed(seed)
-                rho = oracle.evolve(state, params, 0.3).rho
-                digests.add(hashlib.sha256(rho.tobytes()).hexdigest())
+            for t in (0.3, 3.0):
+                digests = set()
+                for seed in (0, 12345):
+                    np.random.seed(seed)
+                    rho = oracle.evolve(state, params, t).rho
+                    digests.add(hashlib.sha256(rho.tobytes()).hexdigest())
+                assert len(digests) == 1
         finally:
             np.random.set_state(saved)
-        assert len(digests) == 1
 
 
 class TestObservables:
@@ -176,6 +204,22 @@ class TestObservables:
         assert v["y1"] == pytest.approx(0.25, abs=1e-12)
         sf = oracle.squeeze_factors(state)
         assert all(abs(val) < 1e-12 for val in sf.values())
+
+    def test_variances_match_three_product_form(self):
+        params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
+                                    nbar1=0.3, nbar2=0.2)
+        state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.yurke_stoler(0.6), 12, 12)
+        evolved = oracle.evolve(state, params, 0.3)
+        a1, a2 = oracle.mode_ops(evolved)
+        rho = evolved.rho
+        got = oracle.quadrature_variances(evolved)
+        for label, op in (("1", a1), ("2", a2), ("c", a1 + a2)):
+            x = 0.5 * (op + op.conj().T)
+            y = -0.5j * (op - op.conj().T)
+            for q, key in ((x, f"x{label}"), (y, f"y{label}")):
+                # Tr(rho q^2) - Tr(rho q)^2
+                expect = np.trace(rho @ q @ q).real - np.trace(rho @ q).real ** 2
+                assert got[key] == pytest.approx(expect, rel=0, abs=1e-14)
 
     def test_sum_pnd_of_fock_pair(self):
         # |1> (x) |1> has its entire mass at total n = 2
