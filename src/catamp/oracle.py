@@ -134,7 +134,10 @@ def evolve(state: FockState, params: AmplifierParams, t: float) -> FockState:
     scipy's expm_multiply (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
     488-511, 2011), given the fresh CSR matrix L scaled by t in place (no
     scaled copy), so that it takes the exact sparse 1-norm of tL.  The
-    result is exact to rounding and needs no step size.
+    result is exact to rounding and needs no step size.  Where tL is large
+    enough for expm_multiply to estimate 1-norms of its powers from random
+    vectors, they come from a fixed seed of numpy's global generator, whose
+    state is restored afterwards, so the result is the same in every run.
     """
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -144,7 +147,12 @@ def evolve(state: FockState, params: AmplifierParams, t: float) -> FockState:
     d1, d2 = state.dim1, state.dim2
     liou = _liouvillian(params, d1, d2)
     liou.data *= t
-    vec = expm_multiply(liou, state.rho.reshape(-1), traceA=liou.diagonal().sum())
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        vec = expm_multiply(liou, state.rho.reshape(-1), traceA=liou.diagonal().sum())
+    finally:
+        np.random.set_state(saved)
     rho = vec.reshape(d1 * d2, d1 * d2)
     drift = abs(state.trace() - float(np.real(np.trace(rho))))
     if not drift <= _TRACE_DRIFT_TOL:

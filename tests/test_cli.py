@@ -287,6 +287,15 @@ class TestOtherCommands:
         # file is still written before escalation
         assert (tmp_path / "pnd.csv").exists()
 
+    def test_pnd_strict_escalates_a_non_finite_distribution(self, tmp_path, capsys):
+        # even(1) x odd(1) at g t = 30: every P(n) is NaN
+        cfg = write_config(tmp_path, {
+            "out": str(tmp_path / "pnd.csv"), "n_max": 100, "time": 30.0,
+            "cat1": {"kind": "even", "amp_mag": 1.0}, "cat2": {"kind": "odd", "amp_mag": 1.0},
+            "params": {"g": 1.0, "pump_phase": 0.0}})
+        assert main(["pnd", "--config", cfg, "--strict"]) == 3
+        assert "distribution is not finite" in capsys.readouterr().err
+
     def test_squeeze_command(self, tmp_path):
         cfg = write_config(tmp_path, {"out": str(tmp_path / "sq.csv")})
         assert main(["squeeze", "--config", cfg]) == 0

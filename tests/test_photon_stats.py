@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -340,6 +341,16 @@ class TestSumPnd:
         with pytest.warns(TruncationWarning):
             ca.sum_pnd(system, 0.8, n_max=6)
 
+    def test_non_finite_distribution_warns(self):
+        # at g t = 30 the generating function leaves float range: every P(n)
+        # is NaN, so the tail mass is NaN, which no tolerance comparison flags
+        system = make_system("even", 1.0, "odd", 1.0, pump=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in exp
+            with pytest.warns(TruncationWarning, match="distribution is not finite"):
+                dist = ca.sum_pnd(system, 30.0, n_max=100)
+        assert np.isnan(dist.probs).all()
+
     def test_convention_audit_regression(self):
         # reading the series with standard Laguerre polynomials while keeping
         # the printed per-order factorials breaks normalization and the oracle
@@ -656,6 +667,75 @@ class TestGeneratingFunctionKernel:
         for mode in (1, 2):
             wk, kc = ca.factorial_moments(STRONG, STRONG_T, 64, scope="single", mode=mode)
             assert not (math.isnan(wk) or math.isnan(kc))
+
+
+# --- the block kernel against a per-row reference loop ---------------------------------
+
+
+def loop_coefficients(t_coef, k_coef, rows, n_max):
+    """The reference for the block kernel: one array pass per row (kind, p, a, b)
+    and per conjugate, accumulated per class in row order, one irfft per class."""
+    size = 2 * (n_max + 1)
+    u = -np.expm1(np.arange(size // 2 + 1) * (-2j * math.pi / size))
+    den = 1.0 + t_coef * u + k_coef * u * u
+    w = u / den
+    uw = u * w
+    sums = {}
+    for kind, pref, a, b in rows:
+        acc = sums.setdefault(kind, np.zeros_like(u))
+        for p, ap, bp in ((pref, a, b), (pref.conjugate(), a.conjugate(), b.conjugate())):
+            z = ap * w + bp * uw
+            acc += p * np.exp(z, out=z)
+    base = 0.5 / den
+    return {kind: np.fft.irfft(acc * base, size)[: n_max + 1] for kind, acc in sums.items()}
+
+
+def loop_pnd(system, t, n_max, mode):
+    """P(n) and the class parts from loop_coefficients, summed part by part."""
+    ev = ca.evolve_terms(system, t)
+    t_coef, k_coef, a, b = ca.generating_quantities(ev, mode)
+    kinds, order = (ev.kind[:8], ca.TermClass) if mode is None else ((None,) * 8, (None,))
+    prefactors = (ev.prefactor[:8] + ev.prefactor[:7:-1]).tolist()
+    rows = zip(kinds, prefactors, a[:8].tolist(), b[:8].tolist())
+    coeffs = loop_coefficients(t_coef, k_coef, rows, n_max)
+    parts = {kind: ev.norm * coeffs[kind] for kind in order}
+    return functools.reduce(np.add, parts.values()), parts
+
+
+# the kernel samples n_max + 2 points: exactly one block, one block and one
+# column (which a last block of one column would sum pairwise), one block and
+# two columns, three blocks and seven columns; at four blocks and two columns
+# some distributions hold a P(n) of -0.0, whose sign the sums must keep
+BLOCK = photon_stats._KERNEL_BLOCK
+EDGE_N_MAX = (BLOCK - 2, BLOCK - 1, BLOCK, 3 * BLOCK + 5, 4 * BLOCK)
+FIG6 = ca.System(ca.CatSpec.even(3.0), ca.CatSpec.even(2.0),
+                 ca.AmplifierParams(g=1e4, pump_phase=np.pi / 2))
+
+
+def assert_matches_row_loop(system, t, n_max):
+    dist = ca.sum_pnd(system, t, n_max=n_max)
+    probs, parts = loop_pnd(system, t, dist.n_max, None)
+    assert dist.probs.tobytes() == probs.tobytes()
+    for kind in ca.TermClass:
+        assert dist.class_parts[kind].tobytes() == parts[kind].tobytes()
+    for mode in (1, 2):
+        dist = ca.single_pnd(mode, system, t, n_max=n_max)
+        probs, _ = loop_pnd(system, t, dist.n_max, mode)
+        assert dist.probs.tobytes() == probs.tobytes()
+
+
+class TestBlockKernelReference:
+    """_real_coefficients (16 rows per block pass) bit for bit against the row loop."""
+
+    @pytest.mark.filterwarnings("ignore::catamp.photon_stats.TruncationWarning")
+    @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
+    def test_sweep_at_block_edges(self, label, system, t):
+        for n_max in (None, *EDGE_N_MAX):
+            assert_matches_row_loop(system, t, n_max)
+
+    def test_figure_6(self):
+        assert ca.sum_pnd(FIG6, 3e-4).n_max == 23924
+        assert_matches_row_loop(FIG6, 3e-4, None)
 
 
 def test_ladder_matches_mpmath_through_renormalizations():
