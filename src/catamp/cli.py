@@ -9,6 +9,7 @@ configuration, 3 numeric warning escalated under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -19,6 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from . import oracle
+from ._g17 import g17_cells
 from .charfn import moment
 from .coeffs import evolve_terms
 from .params import AmplifierParams, CatSpec, System
@@ -204,25 +206,54 @@ _CSV_CONVERSIONS = {"i": "%d", "u": "%d", "O": "%s", "U": "%s"}
 _CSV_BLOCK = 4096
 
 
-def _cells(c: np.ndarray) -> list[str]:
-    """The column's cells as strings; a float64 column formats each distinct bit
-    pattern once (bits, not values: -0.0 and 0.0 print differently)."""
+def _text_cells(c: np.ndarray) -> np.ndarray:
+    """A column's cells by its %-format, UTF-8 encoded, as NUL-padded uint8 rows."""
     conv = _CSV_CONVERSIONS.get(c.dtype.kind, "%.17g")
-    if c.dtype != np.float64:
-        return [conv % v for v in c.tolist()]
-    bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
-    text = [conv % v for v in bits.view(np.float64).tolist()]
-    return [text[k] for k in inverse.tolist()]
+    text = np.array([(conv % v).encode() for v in c.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(len(c), -1)
+
+
+def _block_rows(block: list[np.ndarray]) -> np.ndarray:
+    """The block's CSV rows, CRLF included, as a NUL-padded uint8 matrix.
+
+    Every cell is a row of one table of cell texts, each followed by a comma: the
+    float64 columns share the rows of their distinct bit patterns (bits, not
+    values: -0.0 and 0.0 print differently), every other cell has a row of its own.
+    """
+    n = len(block[0])
+    tables, index = [], []
+    floats = [c.view(np.int64) for c in block if c.dtype == np.float64]
+    if floats:
+        bits, inverse = np.unique(np.concatenate(floats), return_inverse=True)
+        tables.append(g17_cells(bits.view(np.float64)))
+        float_index = iter(inverse.reshape(len(floats), n))
+    for c in block:
+        if c.dtype == np.float64:
+            index.append(next(float_index))
+        else:
+            index.append(np.arange(n) + sum(map(len, tables)))
+            tables.append(_text_cells(c))
+    cells = np.zeros((sum(map(len, tables)), max(t.shape[1] for t in tables) + 2), np.uint8)
+    row = 0
+    for t in tables:
+        cells[row:row + len(t), :t.shape[1]] = t
+        row += len(t)
+    cells[:, -2] = ord(",")
+    rows = np.take(cells, np.stack(index, axis=1), axis=0).reshape(n, -1)
+    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # the last cell's comma and its NUL
+    return rows
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write the columns as CRLF rows, each cell formatted by its column's %-format."""
+    """Write the columns as CRLF rows, each cell formatted by its column's %-format.
+
+    Cells are assembled NUL-padded, so a NUL character in a text cell is dropped."""
     rows = min((len(c) for c in columns), default=0)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\r\n")
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\r\n").encode())
         for lo in range(0, rows, _CSV_BLOCK):
-            block = zip(*(_cells(c[lo:lo + _CSV_BLOCK]) for c in columns))
-            f.write("\r\n".join(map(",".join, block)) + "\r\n")
+            block = _block_rows([c[lo:min(lo + _CSV_BLOCK, rows)] for c in columns])
+            f.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_json(path: str, obj: dict) -> None:
@@ -637,6 +668,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: main runs once per command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catamp",

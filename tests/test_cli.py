@@ -347,12 +347,19 @@ def row_by_row_csv(path, header, columns):
 
 
 # float64 values whose text is easy to get wrong: signed zeros and nans,
-# infinities, subnormals and 1-ulp neighbours
+# infinities, subnormals and 1-ulp neighbours; exact 17th-digit ties (round half
+# to even: 123456789012345.12); the %g switches between fixed and exponent
+# notation; 1e153, stored as 9.999999999999999997e152, whose 17 digits round up
+# to 1e+153; and three-digit exponents
 HARD_FLOATS = np.array([
     0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
     np.nextafter(2.2250738585072014e-308, 0.0), 1.0, np.nextafter(1.0, 2.0),
     np.nextafter(1.0, 0.0), 0.1, 0.30000000000000004, 1e300, -1.7976931348623157e308,
     1e16, 12345678901234567.0,
+    123456789012345.125, -123456789012345.125,
+    1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 9.9999999999999995e-05, 1e-4,
+    np.nextafter(1e17, 0.0), 1e17, np.nextafter(1e17, np.inf),
+    1e153, 1e-100, 1e-300, np.nextafter(1e-300, 0.0), 1e200,
 ])
 
 
@@ -381,3 +388,17 @@ class TestWriteCsv:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "ref.csv").read_bytes()
         assert new.count(b"\r\n") == rows + 1
+
+    def test_random_bit_patterns_match_row_by_row_writer(self, tmp_path):
+        rng = np.random.default_rng(18)
+        bits = rng.integers(0, 2**64, 2**18, dtype=np.uint64)
+        mantissas = rng.integers(1, 2**52, 1024, dtype=np.uint64)
+        signs = rng.integers(0, 2, 1024, dtype=np.uint64) << np.uint64(63)
+        subnormals = (signs | mantissas).view(np.float64)
+        nans = (signs | np.uint64(0x7FF << 52) | mantissas).view(np.float64)
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        column = np.concatenate([bits.view(np.float64), subnormals, nans, tens, -tens])
+        write_csv(str(tmp_path / "new.csv"), ["v"], [column])
+        row_by_row_csv(str(tmp_path / "ref.csv"), ["v"], [column])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
