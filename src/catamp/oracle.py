@@ -7,6 +7,11 @@ damped), and observables read straight off the matrix.
 This module deliberately shares no code with the closed-form path; the Wigner
 function uses the displaced-parity kernel built on scipy's Laguerre
 polynomials.
+
+Only this oracle needs scipy, so each function imports the scipy modules it
+uses on first use, in its own body and never in a per-element helper:
+`import catamp` and every process that does not run the oracle start
+without loading `scipy.sparse`, `scipy.special` or `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import eval_genlaguerre, gammaln
 
 from .params import AmplifierParams, CatSpec, normalization
 
@@ -62,6 +65,8 @@ class FockState:
 
 
 def _coherent_vec(alpha: complex, dim: int) -> np.ndarray:
+    from scipy.special import gammaln
+
     n = np.arange(dim)
     if alpha == 0:
         v = np.zeros(dim, dtype=complex)
@@ -102,14 +107,16 @@ def mode_ops(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     return a1, a2
 
 
-def _liouvillian(params: AmplifierParams, d1: int, d2: int) -> sp.csr_matrix:
-    """Sparse generator of the master equation acting on row-major vec(rho).
+def _liouvillian(params: AmplifierParams, d1: int, d2: int):
+    """Sparse CSR generator of the master equation acting on row-major vec(rho).
 
     With the rates folded into the jump operators c (sqrt(gamma (nbar+1)) a
     and sqrt(gamma nbar) a+ per mode, rate-0 jumps left out) and
     H_eff = H - (i/2) sum c+ c, vec(A rho B) = kron(A, B.T) vec(rho) gives
     L = kronsum(i conj(H_eff), -i H_eff) + sum kron(c, conj(c)).
     """
+    import scipy.sparse as sp
+
     a1 = sp.kron(sp.csr_matrix(_destroy(d1)), sp.identity(d2), format="csr")
     a2 = sp.kron(sp.identity(d1), sp.csr_matrix(_destroy(d2)), format="csr")
     k = np.exp(-1j * params.pump_phase) * (a1 @ a2)
@@ -141,7 +148,6 @@ def evolve(state: FockState, params: AmplifierParams, t: float) -> FockState:
     """
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    # imported here so that `import catamp` does not load scipy.linalg
     from scipy.sparse.linalg import expm_multiply
 
     d1, d2 = state.dim1, state.dim2
@@ -219,39 +225,43 @@ def squeeze_factors(state: FockState) -> dict[str, float]:
     }
 
 
-def _displacement_elements(w: np.ndarray, m: int, n: int) -> np.ndarray:
-    """<m|D(w)|n> for an array of arguments w."""
-    aw2 = np.abs(w) ** 2
-    if m >= n:
-        pref = math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-        return pref * w ** (m - n) * np.exp(-0.5 * aw2) * eval_genlaguerre(n, m - n, aw2)
-    pref = math.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
-    return pref * (-np.conj(w)) ** (n - m) * np.exp(-0.5 * aw2) * eval_genlaguerre(m, n - m, aw2)
-
-
 def wigner(state: FockState, z, mode: int = 1) -> np.ndarray:
     """Wigner function of one mode via the displaced-parity kernel.
 
     Uses Pi_z = D(2z) * parity, whose Fock matrix elements are exact at the
     state's own truncation (no enlarged space needed).
     """
+    from scipy.special import eval_genlaguerre, gammaln
+
     rho1 = state.reduced(mode)
     d = rho1.shape[0]
     z = np.asarray(z, dtype=complex)
     w = 2.0 * z
+    aw2 = np.abs(w) ** 2
+
+    def displacement_elements(m: int, n: int) -> np.ndarray:
+        """<m|D(w)|n> on every argument w."""
+        if m >= n:
+            pref = math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+            return pref * w ** (m - n) * np.exp(-0.5 * aw2) * eval_genlaguerre(n, m - n, aw2)
+        pref = math.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
+        return pref * (-np.conj(w)) ** (n - m) * np.exp(-0.5 * aw2) * eval_genlaguerre(m, n - m, aw2)
+
     acc = np.zeros(z.shape, dtype=complex) if z.ndim else np.zeros((), dtype=complex)
     for m in range(d):
         for n in range(d):
             if abs(rho1[m, n]) < 1e-300:
                 continue
             # Tr[rho Pi_z] = sum_{m,n} rho[m,n] (-1)^m <n|D(2z)|m>
-            acc = acc + rho1[m, n] * ((-1) ** m) * _displacement_elements(w, n, m)
+            acc = acc + rho1[m, n] * ((-1) ** m) * displacement_elements(n, m)
     vals = (2.0 / math.pi) * acc
     return np.real(vals) if vals.ndim else float(np.real(vals))
 
 
 def _exp_creation(z: complex, dim: int) -> np.ndarray:
     """Matrix of e^{z a+} in the number basis (lower triangular)."""
+    from scipy.special import gammaln
+
     out = np.zeros((dim, dim), dtype=complex)
     for m in range(dim):
         for n in range(m + 1):

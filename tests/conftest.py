@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -16,6 +20,20 @@ ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
 def record_criterion(name: str, ok: bool, detail: str = "") -> None:
     ACCEPTANCE_RESULTS.append((name, ok, detail))
+
+
+def run_fresh_python(code: str) -> None:
+    """Run code in a new interpreter that imports this checkout's catamp.
+
+    The test modules import scipy themselves, so only a fresh process shows
+    which modules a code path loads.
+    """
+    src = os.path.dirname(os.path.dirname(ca.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,6 +15,8 @@ from catamp.cli import (
     write_csv,
 )
 
+from conftest import run_fresh_python
+
 
 BASE_CONFIG = {
     "scenario": "demo",
@@ -322,6 +324,19 @@ class TestOtherCommands:
         assert "warning" not in capsys.readouterr().err
         meta = json.loads((tmp_path / "oc.meta.json").read_text())
         assert meta["max_abs_deviation"] < 1e-6
+
+    def test_only_oracle_check_loads_the_oracle_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "pnd.csv"), "n_max": 40})
+        run_fresh_python(f"""
+            import sys
+            from catamp.cli import main
+            assert main(["figure", "8a", "--out", {str(tmp_path / "8a.csv")!r}]) == 0
+            assert main(["pnd", "--config", {cfg!r}]) == 0
+            loaded = [name for name in ("scipy.sparse", "scipy.special") if name in sys.modules]
+            assert not loaded, loaded
+            assert main(["oracle-check", "--envelope", "small",
+                         "--out", {str(tmp_path / "oc.csv")!r}]) == 0
+        """)
 
     def test_bad_config_file(self, tmp_path):
         missing = str(tmp_path / "none.json")

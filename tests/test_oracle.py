@@ -8,6 +8,8 @@ from scipy.linalg import expm
 import catamp as ca
 from catamp import oracle
 
+from conftest import run_fresh_python
+
 
 class TestBuildInitial:
     def test_vacuum_cats(self):
@@ -29,6 +31,24 @@ class TestBuildInitial:
     def test_dim_too_small(self):
         with pytest.raises(oracle.DimTooSmall):
             oracle.build_initial(ca.CatSpec.even(2.5), ca.CatSpec.even(0.5), 8, 8)
+
+
+def test_scipy_loads_on_first_oracle_use():
+    run_fresh_python("""
+        import sys
+        import catamp
+        import catamp.cli
+        from catamp import oracle
+        lazy = ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy.ndimage")
+        loaded = [name for name in lazy if name in sys.modules]
+        assert not loaded, loaded
+        params = catamp.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
+                                        nbar1=0.3, nbar2=0.2)
+        state = oracle.build_initial(catamp.CatSpec.even(0.5), catamp.CatSpec.odd(0.4), 10, 10)
+        assert abs(oracle.evolve(state, params, 0.1).trace() - 1.0) < 1e-10
+        loaded = [name for name in lazy if name in sys.modules]
+        assert loaded == ["scipy.sparse", "scipy.special", "scipy.linalg"], loaded
+    """)
 
 
 class TestEvolve:

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
 
 import mpmath
 import numpy as np
@@ -15,7 +11,7 @@ from catamp import oracle
 from catamp.coeffs import evolve_terms
 from catamp.wigner import GridSpec, SupportWarning, _strict_maxima
 
-from conftest import amplifiers, cats, make_system, random_cat, swap_modes
+from conftest import amplifiers, cats, make_system, random_cat, run_fresh_python, swap_modes
 
 
 def complex_z_sum(ev, z, mode):
@@ -365,7 +361,7 @@ class TestPeakCountReference:
     def test_one_maximum_leaves_ndimage_unimported(self):
         # figure 2a has one maximum, figure 2b two; only a second maximum
         # reaches scipy.ndimage
-        code = textwrap.dedent("""
+        run_fresh_python("""
             import math, sys
             import catamp as ca
             def grid(gamma):
@@ -377,9 +373,3 @@ class TestPeakCountReference:
             assert ca.count_peaks(grid(1.0)) == 2
             assert "scipy.ndimage" in sys.modules
         """)
-        src = os.path.dirname(os.path.dirname(ca.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
