@@ -6,7 +6,8 @@ Runs ``catamp.cli.main`` in-process inside OUTDIR with relative output paths,
 so the sidecars, which record the ``out`` path, compare across directories.
 It writes every figure (CSV and sidecar), figure 5 as JSON, a ``t`` x
 ``cat2.rel_phase`` scan of every scan observable, the ``pnd`` sum and
-single-mode distributions, the squeezing factors, the Wigner grid at the
+single-mode distributions (the sum also as JSON, which pins each column's
+JSON type), the squeezing factors, the Wigner grid at the
 default and at a 61 x 51 mode-2 grid, and both ``oracle-check`` envelopes.
 Every command runs under ``--strict``, so a numeric warning (a truncation
 tail or clipped Wigner support) fails the run, as does any nonzero exit.
@@ -49,7 +50,7 @@ def commands(configs: str) -> list[list[str]]:
     def config(name: str, **extra) -> list[str]:
         path = os.path.join(configs, f"{name}.json")
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(dict(BASE, out=f"{name}.csv", **extra), f)
+            json.dump({**BASE, "out": f"{name}.{extra.get('format', 'csv')}", **extra}, f)
         return ["--config", path]
 
     runs = [["figure", fig, "--out", f"figure_{fig}.csv"] for fig in FIGURE_IDS]
@@ -57,6 +58,7 @@ def commands(configs: str) -> list[list[str]]:
     runs += [["scan", *config(f"scan_{name}", observable=name, scan=SCAN, grid=SCAN_GRID)]
              for name in OBSERVABLES]
     runs += [["pnd", *config("pnd_sum")],
+             ["pnd", *config("pnd_sum_json", format="json")],
              ["pnd", *config("pnd_single", observable="single", mode=2)],
              ["squeeze", *config("squeeze")],
              ["wigner", *config("wigner_default")],

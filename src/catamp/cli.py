@@ -2,7 +2,8 @@
 
 Outputs are machine-readable and byte-deterministic for a fixed configuration:
 CSV data (header row, 17 significant digits) plus a JSON sidecar with the
-resolved parameters and feature metrics.  Exit codes: 0 success, 2 bad
+resolved parameters and feature metrics.  Each cmd_* function builds its
+dataset and writes nothing; main writes it.  Exit codes: 0 success, 2 bad
 configuration, 3 numeric warning escalated under --strict.
 """
 
@@ -41,6 +42,9 @@ class UnknownFigure(ConfigError):
 
 _ESCALATED = (TruncationWarning, SupportWarning)
 
+# what every command returns and main writes: (header, columns, sidecar metadata)
+_Dataset = tuple[list[str], list, dict]
+
 
 # --- configuration ------------------------------------------------------------
 
@@ -52,15 +56,16 @@ _SCAN_AXES = (("parameter", "values"), ("parameter2", "values2"))
 
 def _number(value, where: str, kind=float):
     """value as a float, or as an int when kind is int; ConfigError naming the
-    field.  Booleans are refused, and an int field refuses a non-integral
-    value instead of truncating it (40.0 is 40, 40.5 is an error)."""
+    field.  Only a JSON number is read: text and booleans are refused, and an
+    int field refuses a non-integral value instead of truncating it (40.0 is
+    40, 40.5 is an error)."""
     not_a_number = ConfigError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise not_a_number
     try:
         number = float(value)
         whole = int(number) if kind is int else number
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise not_a_number from None
     if kind is int and whole != number:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
@@ -101,6 +106,12 @@ def _read(cls, d, where: str = ""):
         raise ConfigError(f"{name}: {exc}") from None
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def _read_cat(d, where: str) -> CatSpec:
     """A cat object; it may name its rel_phase by kind (even, odd, yurke_stoler)."""
     if isinstance(d, dict) and "kind" in d:
@@ -119,7 +130,7 @@ _READERS = {
     "float": _number,
     "int": lambda v, where: _number(v, where, int),
     "int | None": lambda v, where: None if v is None else _number(v, where, int),
-    "str": lambda v, where: str(v),
+    "str": _string,
     "dict | None": lambda v, where: v,  # grid and scan: RunConfig checks them
     "CatSpec": _read_cat,
     "AmplifierParams": lambda v, where: _read(AmplifierParams, v, where),
@@ -262,26 +273,16 @@ def write_json(path: str, obj: dict) -> None:
         f.write("\n")
 
 
-def _sidecar_path(out: str) -> str:
-    stem = out[:-4] if out.endswith(".csv") else out
-    return stem + ".meta.json"
-
-
 def _emit(out: str, fmt: str, header: list[str], columns: list, meta: dict) -> list[str]:
-    """Write the dataset; an unwritable path is a ConfigError naming out."""
-    columns = [np.asarray(c) for c in columns]
+    """Write the dataset and return the paths written; an unwritable path is a
+    ConfigError naming out.  main is its one caller."""
     try:
         if fmt == "csv":
             write_csv(out, header, columns)
-            side = _sidecar_path(out)
+            side = (out[:-4] if out.endswith(".csv") else out) + ".meta.json"
             write_json(side, meta)
             return [out, side]
-        payload = dict(meta)
-        payload["data"] = {
-            h: [v if isinstance(v, str) else float(v) for v in c]
-            for h, c in zip(header, columns)
-        }
-        write_json(out, payload)
+        write_json(out, {**meta, "data": {h: c.tolist() for h, c in zip(header, columns)}})
     except OSError as exc:
         raise ConfigError(f"out: {exc}") from None
     return [out]
@@ -466,13 +467,12 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def cmd_figure(fig_id: str, out: str, fmt: str) -> list[str]:
+def cmd_figure(fig_id: str) -> _Dataset:
     if fig_id not in _FIGURES:
         raise UnknownFigure(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
     make, kwargs = _FIGURES[fig_id]
     header, cols, features, resolved = make(**kwargs)
-    meta = {"figure": fig_id, "features": features, "resolved": resolved}
-    return _emit(out, fmt, header, cols, meta)
+    return header, cols, {"figure": fig_id, "features": features, "resolved": resolved}
 
 
 # --- generic commands ----------------------------------------------------------
@@ -520,7 +520,7 @@ def _scan_axis(scan: dict, key: str, vkey: str, known: set[str]) -> tuple[str, n
     return fieldname, np.asarray([_number(v, f"scan.{vkey}") for v in vals])
 
 
-def cmd_scan(cfg: RunConfig) -> list[str]:
+def cmd_scan(cfg: RunConfig) -> _Dataset:
     if not cfg.scan:
         raise ConfigError("scan: required for the scan command")
     if not cfg.observable:
@@ -542,29 +542,23 @@ def cmd_scan(cfg: RunConfig) -> list[str]:
         for name, value in zip(names, point):
             system, t = _with_field(system, t, name, value)
         results.append(evaluate(cfg, system, t))
-    meta = {"scenario": cfg.scenario, "config": cfg.to_dict()}
-    return _emit(cfg.out, cfg.format, [*names, cfg.observable],
-                 [*map(np.asarray, zip(*points)), np.asarray(results)], meta)
+    return [*names, cfg.observable], [*map(np.asarray, zip(*points)), np.asarray(results)], {}
 
 
-def cmd_wigner(cfg: RunConfig) -> list[str]:
+def cmd_wigner(cfg: RunConfig) -> _Dataset:
     columns, features, cut, _ = _wigner(cfg.system, cfg.time, cfg._grid, cfg.mode, cfg.cut_y)
-    meta = {"scenario": cfg.scenario, "config": cfg.to_dict(), "features": features,
-            "cut": cut}
-    return _emit(cfg.out, cfg.format, ["x", "y", "w"], columns, meta)
+    return ["x", "y", "w"], columns, {"features": features, "cut": cut}
 
 
-def cmd_pnd(cfg: RunConfig) -> list[str]:
+def cmd_pnd(cfg: RunConfig) -> _Dataset:
     if cfg.observable not in ("", "single"):
         raise ConfigError(f"observable: unknown {cfg.observable!r} for pnd; choose '' "
                           "(the sum n1 + n2) or 'single' (the marginal of mode)")
     dist = (single_pnd(cfg.mode, cfg.system, cfg.time, n_max=cfg.n_max)
             if cfg.observable == "single" else sum_pnd(cfg.system, cfg.time, n_max=cfg.n_max))
     parts = {f"p_{c.name.lower()}": p for c, p in (dist.class_parts or {}).items()}
-    meta = {"scenario": cfg.scenario, "config": cfg.to_dict(),
-            "features": _pnd_features({"p": dist.probs})}
-    return _emit(cfg.out, cfg.format, ["n", "p", *parts],
-                 [np.arange(dist.n_max + 1), dist.probs, *parts.values()], meta)
+    return (["n", "p", *parts], [np.arange(dist.n_max + 1), dist.probs, *parts.values()],
+            {"features": _pnd_features({"p": dist.probs})})
 
 
 def _squeeze_factors(system: System, t: float) -> dict[str, float]:
@@ -576,11 +570,9 @@ def _squeeze_factors(system: System, t: float) -> dict[str, float]:
             "S": compound.S, "Q": compound.Q}
 
 
-def cmd_squeeze(cfg: RunConfig) -> list[str]:
+def cmd_squeeze(cfg: RunConfig) -> _Dataset:
     factors = _squeeze_factors(cfg.system, cfg.time)
-    meta = {"scenario": cfg.scenario, "config": cfg.to_dict()}
-    return _emit(cfg.out, cfg.format, list(factors),
-                 [np.array([v]) for v in factors.values()], meta)
+    return list(factors), [np.array([v]) for v in factors.values()], {}
 
 
 # --- oracle comparison ----------------------------------------------------------
@@ -626,9 +618,7 @@ _ENVELOPES = {
 }
 
 
-def cmd_oracle_check(envelope: str, out: str, fmt: str) -> list[str]:
-    if envelope not in _ENVELOPES:
-        raise ConfigError("envelope: must be 'small' or 'full'")
+def cmd_oracle_check(envelope: str) -> _Dataset:
     cases, extent, npts = _ENVELOPES[envelope]
     rows = []
     for label, cat1, cat2, run, t, dims in cases:
@@ -636,27 +626,33 @@ def cmd_oracle_check(envelope: str, out: str, fmt: str) -> list[str]:
         devs = _oracle_deviations(system, t, dims, extent, npts)
         rows += [(label, k, v) for k, v in sorted(devs.items())]
     labels, observables, deviations = zip(*rows)
-    meta = {"envelope": envelope, "max_abs_deviation": float(np.max(deviations))}
-    return _emit(out, fmt, ["case", "observable", "max_abs_deviation"],
-                 [np.array(labels, dtype=object), np.array(observables, dtype=object),
-                  np.array(deviations)], meta)
+    return (["case", "observable", "max_abs_deviation"],
+            [np.array(labels, dtype=object), np.array(observables, dtype=object),
+             np.array(deviations)],
+            {"envelope": envelope, "max_abs_deviation": float(np.max(deviations))})
 
 
 # --- entry point ----------------------------------------------------------------
 
 
 def _config_command(help_text: str, cmd) -> tuple:
-    """The _COMMANDS entry of a command that runs cmd on its --config file."""
-    return (help_text, {"--config": dict(required=True)}, None,
-            lambda args: cmd(load_config(args.config)))
+    """The _COMMANDS entry of a command that runs cmd on its --config file, which
+    names the output and its format; the sidecar records the config."""
+    def run(args):
+        cfg = load_config(args.config)
+        header, columns, meta = cmd(cfg)
+        return (cfg.out, cfg.format, header, columns,
+                {"scenario": cfg.scenario, "config": cfg.to_dict(), **meta})
+    return help_text, {"--config": dict(required=True)}, None, run
 
 
 # command -> (help, its own arguments, default output name or None, run(args)); a
-# command with a default output name takes --out and --format, every one --strict
+# command with a default output name takes --out and --format, every one --strict.
+# run returns (out, format, header, columns, meta), which main writes
 _COMMANDS = {
     "figure": ("emit a built-in figure dataset",
                {"id": dict(help=f"figure id, one of {', '.join(FIGURE_IDS)}")},
-               "figure_{id}", lambda args: cmd_figure(args.id, args.out, args.format)),
+               "figure_{id}", lambda args: (args.out, args.format, *cmd_figure(args.id))),
     "scan": _config_command("sweep a parameter and record an observable", cmd_scan),
     "wigner": _config_command("phase-space grid and cut", cmd_wigner),
     "pnd": _config_command("photon-number distribution", cmd_pnd),
@@ -664,7 +660,7 @@ _COMMANDS = {
     "oracle-check": ("compare closed forms against the Fock-space reference",
                      {"--envelope": dict(choices=tuple(_ENVELOPES), default="small")},
                      "oracle_check_{envelope}",
-                     lambda args: cmd_oracle_check(args.envelope, args.out, args.format)),
+                     lambda args: (args.out, args.format, *cmd_oracle_check(args.envelope))),
 }
 
 
@@ -696,7 +692,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            written = run(args)
+            written = _emit(*run(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ evaluated, each weighted by the paired prefactor of rows i and 15 - i.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -37,7 +36,7 @@ import numpy as np
 
 from .coeffs import EvolvedTerms, evolve_terms
 from .params import System, _count
-from .rho_terms import TermClass
+from .rho_terms import _KINDS, TermClass
 
 
 class TruncationWarning(UserWarning):
@@ -128,13 +127,17 @@ def _paired_prefactors(ev: EvolvedTerms) -> np.ndarray:
     return ev.prefactor[:8] + ev.prefactor[:7:-1]
 
 
-@functools.lru_cache(maxsize=8)
-def _class_layout(classes: tuple, kinds: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The order of the 16 symmetrized rows, row i of 0..7 followed by its
-    conjugate i + 8, that groups them by class (row order kept within a
-    class), and the end of each class's rows in that order."""
+def _class_layout(classes: tuple, kinds: tuple) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The classes, the order of the 16 symmetrized rows, row i of 0..7
+    followed by its conjugate i + 8, that groups them by class (row order kept
+    within a class), and the end of each class's rows in that order."""
     order = tuple(j for kind in classes for i in range(8) if kinds[i] is kind for j in (i, i + 8))
-    return order, tuple(itertools.accumulate(2 * kinds.count(kind) for kind in classes))
+    return classes, order, tuple(itertools.accumulate(2 * kinds.count(kind) for kind in classes))
+
+
+# every record's rows have rho_terms' kinds; one mode alone has one class, None
+_SUM_LAYOUT = _class_layout(tuple(TermClass), _KINDS[:8])
+_MODE_LAYOUT = _class_layout((None,), (None,) * 8)
 
 
 def _auto_n_max(ev: EvolvedTerms, quantities) -> int:
@@ -161,8 +164,7 @@ def _pnd(system: System, t: float, n_max, mode: int | None):
     """
     ev = evolve_terms(system, t)
     t_coef, k_coef, a, b = quantities = generating_quantities(ev, mode)
-    classes = tuple(TermClass) if mode is None else (None,)
-    order, ends = _class_layout(classes, ev.kind[:8] if mode is None else (None,) * 8)
+    classes, order, ends = _SUM_LAYOUT if mode is None else _MODE_LAYOUT
     rows = np.array((_paired_prefactors(ev), a[:8], b[:8]))
     p, a, b = np.concatenate((rows, rows.conj()), axis=1).take(order, axis=1)[..., None]
     if n_max is None:

@@ -61,7 +61,14 @@ class TestRunConfig:
 class TestFigureCommand:
     def test_unknown_figure(self):
         with pytest.raises(UnknownFigure):
-            cmd_figure("99", None, "csv")
+            cmd_figure("99")
+
+    def test_command_writes_nothing(self, tmp_path, monkeypatch):
+        # main is the one writer: a command only returns its dataset
+        monkeypatch.chdir(tmp_path)
+        header, columns, meta = cmd_figure("8a")
+        assert list(tmp_path.iterdir()) == []
+        assert header == ["n", "p"] and len(columns) == 2 and meta["figure"] == "8a"
 
     def test_unknown_figure_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -225,6 +232,17 @@ class TestBadValues:
         ("squeeze", {"cat1": {"kind": ["odd"], "amp_mag": 1.0}}, "cat1.kind: must be one of"),
         ("scan", {"observable": "Q", "scan": {"parameter": ["t"], "values": [0.1]}},
          "scan.parameter: unknown field ['t']"),
+        ("squeeze", {"time": "0.3"}, "time: expected a number, got '0.3'"),
+        ("squeeze", {"cat1": {"kind": "even", "amp_mag": "1.1"}},
+         "cat1.amp_mag: expected a number, got '1.1'"),
+        ("squeeze", {"params": {"g": "1.0"}}, "params.g: expected a number, got '1.0'"),
+        ("pnd", {"n_max": "40"}, "n_max: expected a number, got '40'"),
+        ("scan", {"observable": "Q", "scan": {"parameter": "t", "values": ["0.1"]}},
+         "scan.values: expected a number, got '0.1'"),
+        ("squeeze", {"out": None}, "out: expected a string, got None"),
+        ("squeeze", {"scenario": 7}, "scenario: expected a string, got 7"),
+        ("squeeze", {"observable": ["Q"]}, "observable: expected a string, got ['Q']"),
+        ("squeeze", {"format": None}, "format: expected a string, got None"),
     ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan",
             "time_text", "cut_y_text", "cut_y_inf", "mode_text", "k_text", "n_max_text",
             "n_max_inf", "amp_mag_text", "amp_phase_list", "rel_phase_text", "params_g_text",
@@ -232,13 +250,17 @@ class TestBadValues:
             "n_max_fraction", "grid_nx_fraction", "k_bool", "cat_unknown_field",
             "grid_unknown_field", "scan_unknown_field", "cat_kind_and_rel_phase",
             "pnd_observable_unknown", "cat_degenerate_odd", "cat_kind_list",
-            "scan_parameter_list"])
-    def test_exit_2_names_the_field(self, tmp_path, capsys, command, extra, message):
+            "scan_parameter_list", "time_numeric_text", "amp_mag_numeric_text",
+            "params_g_numeric_text", "n_max_numeric_text", "scan_value_numeric_text",
+            "out_null", "scenario_number", "observable_list", "format_null"])
+    def test_exit_2_names_the_field(self, tmp_path, monkeypatch, capsys, command, extra,
+                                    message):
         out = tmp_path / "out.csv"
-        cfg = write_config(tmp_path, dict(extra, out=str(out)))
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"out": str(out), **extra})
         assert main([command, "--config", cfg]) == 2
         assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
     @pytest.mark.parametrize("where", ["directory", "missing_parent"])
@@ -270,6 +292,15 @@ class TestDefaultOut:
 
 
 class TestOtherCommands:
+    def test_pnd_json_keeps_column_types(self, tmp_path):
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "pnd.json"), "n_max": 40,
+                                      "format": "json"})
+        assert main(["pnd", "--config", cfg]) == 0
+        data = json.loads((tmp_path / "pnd.json").read_text())["data"]
+        assert data["n"] == list(range(41))
+        assert all(type(v) is int for v in data["n"])
+        assert all(type(v) is float for v in data["p"])
+
     def test_pnd_command(self, tmp_path):
         cfg = write_config(tmp_path, {"out": str(tmp_path / "pnd.csv"), "n_max": 40})
         assert main(["pnd", "--config", cfg]) == 0
