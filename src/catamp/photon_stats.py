@@ -11,13 +11,15 @@ Delta(u) = det(I + u Sigma): T = B1N + B2N, K = B1N B2N - |D|^2; one mode
 alone has T = B_jN and K = b = 0.  The distributions read every coefficient
 n <= n_max at once from samples of G on the roots of unity: one block pass
 over 16 rows (8 paired rows and their conjugates) per block of samples, class
-sums in row order, and one batched inverse FFT for all classes; the block
-width bounds the working set at any n_max.  The factorial moments <W^k> are
-k! times the Taylor coefficients of G about s = 1, from one four-term
-recurrence; at K = b = 0 it is the Laguerre recurrence of T^m L_m(-a / T) in
-the standard convention (L_0 = 1, L_1 = 1 - x), whose factorials are folded
-into the series so that distributions are normalized and match the
-Fock-space reference.
+sums in row order, and one batched inverse FFT for all classes, at a 5-smooth
+length; the block width bounds the working set at any n_max.  The
+automatic n_max comes from a Chernoff bound on the tail, G(s) / s^(n_max + 1)
+over real s > 1, so one kernel call meets the tail target.  The factorial
+moments <W^k> are k! times the Taylor coefficients of G about s = 1, from
+one four-term recurrence; at K = b = 0 it is the Laguerre recurrence of
+T^m L_m(-a / T) in the standard convention (L_0 = 1, L_1 = 1 - x), whose
+factorials are folded into the series so that distributions are normalized
+and match the Fock-space reference.
 
 Each distribution and factorial moment evolves the term table once
 (coeffs.evolve_terms) and reads that record.  Row 15 - i is row i with every
@@ -84,6 +86,19 @@ def generating_quantities(
 _KERNEL_BLOCK = 512
 
 
+def _fft_length(n: int) -> int:
+    """The smallest even 2^i 3^j 5^k >= n: a length pocketfft transforms in
+    radix passes, never by Bluestein's algorithm over a large prime factor."""
+    half = max(-(-n // 2), 1)
+    best, p5 = 2 * half, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 * 2^a for the least a reaching half
+            best, p35 = min(best, p35 << ((half - 1) // p35).bit_length()), p35 * 3
+        p5 *= 5
+    return 2 * best
+
+
 def _real_coefficients(t_coef: float, k_coef: float, p, a, b, ends, n_max: int) -> np.ndarray:
     """Re [s^n] of each class's generating function, n = 0..n_max, as a
     (len(ends), n_max + 1) array.
@@ -99,11 +114,12 @@ def _real_coefficients(t_coef: float, k_coef: float, p, a, b, ends, n_max: int) 
     evaluates every term at _KERNEL_BLOCK samples at a time, each class sum
     adds its rows in row order, and one batched irfft returns every class's
     coefficients.  Only the (16, block) terms are temporaries, so memory
-    beyond the samples and the result does not grow with n_max.  With
-    N = 2 (n_max + 1) the aliased terms P(n + N), ... lie beyond twice the
-    truncation, far below the tail target.
+    beyond the samples and the result does not grow with n_max.  N is
+    _fft_length(2 (n_max + 1)), at most 1.16 times 2 (n_max + 1), so the
+    aliased terms P(n + N), ... lie beyond twice the truncation, far below the
+    tail target, and the rows past n_max are dropped.
     """
-    size = 2 * (n_max + 1)
+    size = _fft_length(2 * (n_max + 1))
     u = -np.expm1(np.arange(size // 2 + 1) * (-2j * math.pi / size))  # accurate near s = 1
     den = 1.0 + t_coef * u + k_coef * u * u
     w = u / den
@@ -140,45 +156,62 @@ _SUM_LAYOUT = _class_layout(tuple(TermClass), _KINDS[:8])
 _MODE_LAYOUT = _class_layout((None,), (None,) * 8)
 
 
-def _auto_n_max(ev: EvolvedTerms, quantities) -> int:
-    """Truncation from the mean and variance of the photon-number observable
-    whose generating_quantities are given."""
-    _, w1, w2 = _factorial_moments(ev, quantities, 2)
-    mean = max(w1, 0.0)
-    var = max(w2 + mean - mean**2, mean)
-    return max(int(math.ceil(mean + 8.0 * math.sqrt(var + 1.0))), 31) + 1
-
-
 # auto-truncation targets a tail well below the normalization tolerance, and
-# never grows past the cap (44x figure 6's 23 924); explicit n_max is uncapped
+# never goes past the cap (57x figure 6's n_max); explicit n_max is uncapped
 _AUTO_TAIL_TARGET = 1e-9
-_AUTO_GROWTH_TRIES = 4
 _AUTO_N_MAX_CAP = 2**20
+# the Chernoff bound's s = 1 + v: v = 2^(k/4) from 2^-16, below which the
+# bound N + 1 >= log(1e9) / log s passes the cap, to 64, 4 points per octave
+_CHERNOFF_V = 2.0 ** (np.arange(-64, 25) / 4)
+
+
+def _chernoff_n_max(norm: float, t_coef: float, k_coef: float, p, a, b) -> int:
+    """The least n_max over the grid whose Chernoff bound on the tail meets
+    the target, from the kernel's 8 paired rows p, a, b ((8, 1) arrays); the
+    cap where none does.
+
+    P(n) >= 0, so for real s > 1 where G converges the tail obeys
+
+        sum_{n > N} P(n) <= G(s) / s^(N + 1),  N = ceil(log(G(s) / target) / log s) - 1.
+
+    At u = 1 - s = -v the conjugate rows add the conjugates of the paired
+    rows' terms, so G(s) = norm Re sum p exp(a w + b u w) / Delta(u) over the
+    paired rows, summed in log space.  Delta(-v) = (1 - lam_+ v)(1 - lam_- v),
+    lam the roots of t^2 - T t + K (the covariance's eigenvalues, for the
+    sum), so v stays below 0.98 / lam_max.  Points where G is not finite and
+    positive (the sum cancels, or leaves float range) are skipped.
+    """
+    lam_max = 0.5 * (t_coef + math.sqrt(max(t_coef * t_coef - 4.0 * k_coef, 0.0)))
+    v = _CHERNOFF_V[: np.searchsorted(_CHERNOFF_V, 0.98 / lam_max)] if lam_max else _CHERNOFF_V
+    den = 1.0 - v * (t_coef - k_coef * v)
+    with np.errstate(all="ignore"):
+        z = (a - b * v) * (-v / den)
+        top = z.real.max(axis=0)
+        log_g = np.log(norm * np.sum(p * np.exp(z - top), axis=0).real / den) + top
+        bound = (log_g - math.log(_AUTO_TAIL_TARGET)) / np.log1p(v)
+    bound = bound[np.isfinite(bound)]
+    if not bound.size:
+        return _AUTO_N_MAX_CAP
+    return min(max(math.ceil(bound.min()) - 1, 0), _AUTO_N_MAX_CAP)
 
 
 def _pnd(system: System, t: float, n_max, mode: int | None):
     """P(n), the real class parts (one part, None, for one mode) and n_max.
 
-    Automatic truncation grows n_max until the tail drops below the target
-    (thermal tails can outlive the variance margin) or n_max reaches the cap.
+    Automatic truncation takes the Chernoff bound's n_max (_chernoff_n_max),
+    which holds the tail below _AUTO_TAIL_TARGET or stops at the cap, so the
+    kernel runs once; an explicit n_max is taken as it is.
     """
     ev = evolve_terms(system, t)
-    t_coef, k_coef, a, b = quantities = generating_quantities(ev, mode)
+    t_coef, k_coef, a, b = generating_quantities(ev, mode)
     classes, order, ends = _SUM_LAYOUT if mode is None else _MODE_LAYOUT
     rows = np.array((_paired_prefactors(ev), a[:8], b[:8]))
+    n_max = (_chernoff_n_max(ev.norm, t_coef, k_coef, *rows[..., None]) if n_max is None
+             else _count("n_max", n_max))
     p, a, b = np.concatenate((rows, rows.conj()), axis=1).take(order, axis=1)[..., None]
-    if n_max is None:
-        tries, n_max = _AUTO_GROWTH_TRIES, min(_auto_n_max(ev, quantities), _AUTO_N_MAX_CAP)
-    else:
-        tries, n_max = 1, _count("n_max", n_max)
-    for attempt in range(tries):
-        if attempt:
-            n_max = min(int(1.7 * n_max) + 50, _AUTO_N_MAX_CAP)
-        parts = ev.norm * _real_coefficients(t_coef, k_coef, p, a, b, ends, n_max)
-        probs = np.add.reduce(parts, axis=0, initial=-0.0)  # -0.0 + x is x, a zero's sign too
-        tail = 1.0 - float(np.sum(probs))
-        if tail <= _AUTO_TAIL_TARGET or n_max == _AUTO_N_MAX_CAP:
-            break
+    parts = ev.norm * _real_coefficients(t_coef, k_coef, p, a, b, ends, n_max)
+    probs = np.add.reduce(parts, axis=0, initial=-0.0)  # -0.0 + x is x, a zero's sign too
+    tail = 1.0 - float(np.sum(probs))
     if not math.isfinite(tail):
         warnings.warn(f"photon-number distribution is not finite (tail mass {tail}): "
                       "the generating function leaves float range here",

@@ -116,7 +116,7 @@ class TestFigureCommand:
         ("2a", "x,y,w", 201 * 201),
         ("2b", "x,y,w", 201 * 201),
         ("4", "n,p_undamped,p_underdamped,p_overdamped", 121),
-        ("8a", "n,p", 168),
+        ("8a", "n,p", 136),
         ("8b", "n,p_underdamped,p_overdamped", 101),
         ("10", "alpha1,kc_oo,kc_oe,kc_oo_underdamped,kc_oo_overdamped", 120),
     ])

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import importlib.util
 import itertools
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -319,13 +321,15 @@ class TestSumPnd:
         assert ca.sum_pnd(system, 0.3, n_max=np.int64(40)).n_max == 40
 
     def test_exhausted_growth_returns_the_last_truncation(self, monkeypatch):
-        # when no automatic truncation reaches the tail target, the returned
-        # n_max is the one the probabilities were computed at
-        monkeypatch.setattr(photon_stats, "_AUTO_TAIL_TARGET", -1.0)
+        # when the automatic truncation stops at the cap short of the tail
+        # target, the returned n_max is the one the probabilities were computed at
+        monkeypatch.setattr(photon_stats, "_AUTO_N_MAX_CAP", 5)
         system = make_system("even", 1.0, "odd", 0.8)
-        for dist in (ca.sum_pnd(system, 0.3), ca.single_pnd(1, system, 0.3)):
+        with pytest.warns(TruncationWarning):
+            dists = (ca.sum_pnd(system, 0.3), ca.single_pnd(1, system, 0.3))
+        for dist in dists:
+            assert dist.n_max == 5
             assert len(dist.probs) == dist.n_max + 1
-            assert dist.total == pytest.approx(1.0, abs=1e-12)
 
     def test_automatic_truncation_is_capped(self):
         # a strongly amplified signal asks for millions of photon numbers; the
@@ -672,10 +676,11 @@ class TestGeneratingFunctionKernel:
 # --- the block kernel against a per-row reference loop ---------------------------------
 
 
-def loop_coefficients(t_coef, k_coef, rows, n_max):
+def loop_coefficients(t_coef, k_coef, rows, n_max, size=None):
     """The reference for the block kernel: one array pass per row (kind, p, a, b)
-    and per conjugate, accumulated per class in row order, one irfft per class."""
-    size = 2 * (n_max + 1)
+    and per conjugate, accumulated per class in row order, one irfft per class,
+    at the kernel's FFT length unless a size is given."""
+    size = size or photon_stats._fft_length(2 * (n_max + 1))
     u = -np.expm1(np.arange(size // 2 + 1) * (-2j * math.pi / size))
     den = 1.0 + t_coef * u + k_coef * u * u
     w = u / den
@@ -690,24 +695,26 @@ def loop_coefficients(t_coef, k_coef, rows, n_max):
     return {kind: np.fft.irfft(acc * base, size)[: n_max + 1] for kind, acc in sums.items()}
 
 
-def loop_pnd(system, t, n_max, mode):
+def loop_pnd(system, t, n_max, mode, size=None):
     """P(n) and the class parts from loop_coefficients, summed part by part."""
     ev = ca.evolve_terms(system, t)
     t_coef, k_coef, a, b = ca.generating_quantities(ev, mode)
     kinds, order = (ev.kind[:8], ca.TermClass) if mode is None else ((None,) * 8, (None,))
     prefactors = (ev.prefactor[:8] + ev.prefactor[:7:-1]).tolist()
     rows = zip(kinds, prefactors, a[:8].tolist(), b[:8].tolist())
-    coeffs = loop_coefficients(t_coef, k_coef, rows, n_max)
+    coeffs = loop_coefficients(t_coef, k_coef, rows, n_max, size)
     parts = {kind: ev.norm * coeffs[kind] for kind in order}
     return functools.reduce(np.add, parts.values()), parts
 
 
-# the kernel samples n_max + 2 points: exactly one block, one block and one
-# column (which a last block of one column would sum pairwise), one block and
-# two columns, three blocks and seven columns; at four blocks and two columns
-# some distributions hold a P(n) of -0.0, whose sign the sums must keep
+# the kernel samples N / 2 + 1 points, N = _fft_length(2 (n_max + 1)): part of
+# one block, one block and one column (which a last block of one column would
+# sum pairwise), one block and 29 columns, three blocks and one column, four
+# blocks and 113 columns.  Exactly one block (N = 1022) cannot be reached:
+# N / 2 = 511 = 7 * 73 is not 5-smooth.
 BLOCK = photon_stats._KERNEL_BLOCK
-EDGE_N_MAX = (BLOCK - 2, BLOCK - 1, BLOCK, 3 * BLOCK + 5, 4 * BLOCK)
+EDGE_N_MAX = (BLOCK - 13, BLOCK - 1, BLOCK, 3 * BLOCK - 1, 4 * BLOCK)
+EDGE_SAMPLES = (501, BLOCK + 1, BLOCK + 29, 3 * BLOCK + 1, 4 * BLOCK + 113)
 FIG6 = ca.System(ca.CatSpec.even(3.0), ca.CatSpec.even(2.0),
                  ca.AmplifierParams(g=1e4, pump_phase=np.pi / 2))
 
@@ -727,6 +734,10 @@ def assert_matches_row_loop(system, t, n_max):
 class TestBlockKernelReference:
     """_real_coefficients (16 rows per block pass) bit for bit against the row loop."""
 
+    def test_edge_sample_counts(self):
+        assert tuple(photon_stats._fft_length(2 * (n + 1)) // 2 + 1
+                     for n in EDGE_N_MAX) == EDGE_SAMPLES
+
     @pytest.mark.filterwarnings("ignore::catamp.photon_stats.TruncationWarning")
     @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
     def test_sweep_at_block_edges(self, label, system, t):
@@ -734,8 +745,127 @@ class TestBlockKernelReference:
             assert_matches_row_loop(system, t, n_max)
 
     def test_figure_6(self):
-        assert ca.sum_pnd(FIG6, 3e-4).n_max == 23924
+        assert ca.sum_pnd(FIG6, 3e-4).n_max == 18383
         assert_matches_row_loop(FIG6, 3e-4, None)
+
+    @pytest.mark.filterwarnings("ignore::catamp.photon_stats.TruncationWarning")
+    def test_sum_keeps_a_negative_zero(self, monkeypatch):
+        # at 5-smooth FFT lengths no sweep distribution holds a P(n) of -0.0
+        # (none at any length up to 29 160), so one is made: with every class
+        # part -0.0 at n = 3, P(3) is -0.0, as the part-by-part sum gives
+        kernel = photon_stats._real_coefficients
+
+        def with_negative_zero(*args):
+            coeffs = kernel(*args)
+            coeffs[:, 3] = -0.0
+            return coeffs
+
+        monkeypatch.setattr(photon_stats, "_real_coefficients", with_negative_zero)
+        system, t = SWEEP[0][1:]
+        for dist in (ca.sum_pnd(system, t, n_max=40), ca.single_pnd(1, system, t, n_max=40)):
+            assert dist.probs[3] == 0.0 and math.copysign(1.0, dist.probs[3]) == -1.0
+            if dist.class_parts is not None:
+                total = functools.reduce(np.add, dist.class_parts.values())
+                assert dist.probs.tobytes() == total.tobytes()
+
+
+# --- automatic truncation: one kernel call, at a 5-smooth FFT length -------------------
+
+
+def _benchmark_inputs():
+    """The benchmark's seeded input generators (standard library only)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_REL_PHASE = {"even": 0.0, "odd": math.pi, "yurke_stoler": math.pi / 2}
+
+
+def _input_system(spec):
+    def cat(d):
+        return ca.CatSpec(d["amp_mag"], d["amp_phase"], _REL_PHASE[d["kind"]])
+
+    return ca.System(cat(spec["cat1"]), cat(spec["cat2"]), ca.AmplifierParams(**spec["params"]))
+
+
+class TestAutomaticTruncation:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = photon_stats._real_coefficients
+
+        def counted(*args):
+            calls.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(photon_stats, "_real_coefficients", counted)
+        return calls
+
+    @pytest.mark.parametrize("workload, seed, modes", [
+        ("scan_small", 1, (None, 2)), ("scan_small", 7, (None, 2)), ("pnd_large", 1, (None, 1))])
+    def test_one_kernel_call_meets_the_target(self, kernel_calls, workload, seed, modes):
+        # the benchmark's own distributions: sum_pnd and the single_pnd it times
+        for spec in getattr(_benchmark_inputs(), workload)(seed):
+            system, t = _input_system(spec), spec["t"]
+            for mode in modes:
+                kernel_calls.clear()
+                dist = ca.sum_pnd(system, t) if mode is None else ca.single_pnd(mode, system, t)
+                assert kernel_calls == [dist.n_max] == [len(dist.probs) - 1]
+                assert 1.0 - dist.total <= photon_stats._AUTO_TAIL_TARGET
+
+    @pytest.mark.parametrize("t", [0.0, 1e-12])
+    def test_no_evolution_needs_few_photon_numbers(self, t):
+        # the grid of s is absolute, not scaled to the pole: at t = 0 there is
+        # no pole, and the cats alone need a few dozen photon numbers
+        for cat1, cat2 in itertools.product(
+                (ca.CatSpec.even(2.0, 0.4), ca.CatSpec.odd(0.3), ca.CatSpec.yurke_stoler(2.0)),
+                repeat=2):
+            system = ca.System(cat1, cat2, ca.AmplifierParams(
+                g=1.5, gamma1=2.0, gamma2=0.5, nbar1=1.0, nbar2=0.3))
+            for dist in (ca.sum_pnd(system, t), *(ca.single_pnd(m, system, t) for m in (1, 2))):
+                assert dist.n_max < 64
+                assert 1.0 - dist.total <= photon_stats._AUTO_TAIL_TARGET
+
+
+def _brute_fft_length(n):
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    return next(m for m in itertools.count(max(n, 2)) if m % 2 == 0 and smooth(m))
+
+
+class TestFftLength:
+    def test_least_even_5_smooth_length(self):
+        assert all(photon_stats._fft_length(n) == _brute_fft_length(n) for n in range(10**4 + 1))
+        past_cap = 2 * (photon_stats._AUTO_N_MAX_CAP + 1) + 2 * 3**5
+        assert photon_stats._fft_length(past_cap) == _brute_fft_length(past_cap)
+
+    @pytest.mark.filterwarnings("ignore::catamp.photon_stats.TruncationWarning")
+    def test_explicit_n_max_keeps_its_rows(self):
+        system = make_system("even", 1.5, "yss", 1.0)
+        for n_max in (0, 1, 7, 478, 4789):
+            assert len(ca.sum_pnd(system, 0.4, n_max=n_max).probs) == n_max + 1
+            assert len(ca.single_pnd(2, system, 0.4, n_max=n_max).probs) == n_max + 1
+
+    @pytest.mark.filterwarnings("ignore::catamp.photon_stats.TruncationWarning")
+    @pytest.mark.parametrize("label, system, t", SWEEP[::4], ids=[c[0] for c in SWEEP[::4]])
+    def test_matches_the_unpadded_length(self, label, system, t):
+        # the longer circle moves only the aliased mass, which lies beyond twice
+        # a truncation that holds the tail, and the rounding, which scales with
+        # the total mass 1: within 1e-15 of the row loop at N = 2 (n_max + 1),
+        # at the automatic n_max and past it
+        for mode in (None, 1, 2):
+            pnd = ca.sum_pnd if mode is None else functools.partial(ca.single_pnd, mode)
+            auto = pnd(system, t).n_max
+            for n_max in (auto, auto + 7, 4789):
+                probs, _ = loop_pnd(system, t, n_max, mode, 2 * (n_max + 1))
+                assert np.max(np.abs(pnd(system, t, n_max=n_max).probs - probs)) <= 1e-15
 
 
 def test_ladder_matches_mpmath_through_renormalizations():
