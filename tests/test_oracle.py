@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
+from scipy.special import eval_genlaguerre
 
 import catamp as ca
 from catamp import oracle
@@ -33,21 +36,22 @@ class TestBuildInitial:
             oracle.build_initial(ca.CatSpec.even(2.5), ca.CatSpec.even(0.5), 8, 8)
 
 
-def test_scipy_loads_on_first_oracle_use():
+def test_oracle_loads_no_scipy():
     run_fresh_python("""
         import sys
         import catamp
         import catamp.cli
         from catamp import oracle
-        lazy = ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy.ndimage")
-        loaded = [name for name in lazy if name in sys.modules]
-        assert not loaded, loaded
         params = catamp.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
                                         nbar1=0.3, nbar2=0.2)
         state = oracle.build_initial(catamp.CatSpec.even(0.5), catamp.CatSpec.odd(0.4), 10, 10)
-        assert abs(oracle.evolve(state, params, 0.1).trace() - 1.0) < 1e-10
-        loaded = [name for name in lazy if name in sys.modules]
-        assert loaded == ["scipy.sparse", "scipy.special", "scipy.linalg"], loaded
+        evolved = oracle.evolve(state, params, 0.1)
+        assert abs(evolved.trace() - 1.0) < 1e-10
+        oracle.wigner(evolved, [0.1, 0.2j])
+        oracle.squeeze_factors(evolved)
+        oracle.char_fn(evolved, 0.2, 0.1j)
+        loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        assert not loaded, loaded
     """)
 
 
@@ -117,10 +121,10 @@ class TestEvolve:
         ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5, nbar1=0.3, nbar2=0.2),
     ], ids=["lossless", "damped"])
     def test_zero_time_is_identity(self, params):
-        # the Liouvillian is scaled by t in place; at t = 0 every entry comes
-        # back exactly (only a zero's sign may flip: expm_multiply's closing
-        # factor e^0 = 1 turns a -0.0 imaginary part into +0.0), and the input
-        # array is left as it was, byte for byte
+        # at t = 0 every Taylor term is zero, so every entry comes back exactly
+        # (only a zero's sign may flip: adding a +0.0 term turns a -0.0
+        # imaginary part into +0.0), and the input array is left as it was,
+        # byte for byte
         state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 14, 14)
         before = state.rho.copy()
         assert np.array_equal(oracle.evolve(state, params, 0.0).rho, before)
@@ -184,8 +188,53 @@ class TestPropagator:
     def test_liouvillian_matches_dense_generator(self, params):
         state = oracle.FockState(4, 3, np.zeros((12, 12), dtype=complex))
         expect = _dense_generator(params, state)
-        got = oracle._liouvillian(params, 4, 3).toarray()
+        got = sum(np.diag(coef, offset) for offset, coef in oracle._generator(params, 4, 3))
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("params", [
+        ca.AmplifierParams(g=1.0, pump_phase=0.7),
+        ca.AmplifierParams(g=0.8, pump_phase=1.3, gamma1=1.0, gamma2=0.5, nbar1=0.3, nbar2=0.2),
+        ca.AmplifierParams(g=1.2, pump_phase=0.4, gamma1=0.7),
+    ], ids=["lossless", "damped-thermal", "one-sided-zero-nbar"])
+    def test_shifted_norm_is_the_dense_column_sum_norm(self, params):
+        state = oracle.FockState(4, 3, np.zeros((12, 12), dtype=complex))
+        dense = _dense_generator(params, state)
+        mu = float(np.mean(np.diag(dense).real))
+        expect = np.max(np.sum(np.abs(dense - mu * np.eye(dense.shape[0])), axis=0))
+        got = oracle._shifted_norm(oracle._generator(params, 4, 3), mu)
+        assert got == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("case", [
+        (ca.CatSpec.even(0.79), ca.CatSpec.yurke_stoler(0.6),
+         ca.AmplifierParams(g=1.0, pump_phase=0.7), 0.295, (14, 14)),
+        (ca.CatSpec.even(0.75), ca.CatSpec.odd(0.6),
+         ca.AmplifierParams(g=1.0, pump_phase=np.pi / 2, gamma1=1.0, gamma2=1.0,
+                            nbar1=0.49, nbar2=0.49), 0.295, (14, 14)),
+        (ca.CatSpec.even(1.1), ca.CatSpec.yurke_stoler(0.9),
+         ca.AmplifierParams(g=1.0, pump_phase=np.pi / 2, gamma1=1.0, gamma2=1.0,
+                            nbar1=0.0, nbar2=0.0), 0.4, (22, 22)),
+    ], ids=["lossless-14", "damped-14", "underdamped-22"])
+    def test_matches_scipy_expm_multiply(self, case):
+        # the reference is scipy's action of exp(tL) on the sparse Liouvillian
+        # kronsum(i conj(H_eff), -i H_eff) + sum kron(c, conj(c)), built
+        # without _generator; the 14 x 14 cases are two of the benchmark's
+        cat1, cat2, params, t, (d1, d2) = case
+        a1 = sp.kron(sp.csr_matrix(oracle._destroy(d1)), sp.identity(d2), format="csr")
+        a2 = sp.kron(sp.identity(d1), sp.csr_matrix(oracle._destroy(d2)), format="csr")
+        k = np.exp(-1j * params.pump_phase) * (a1 @ a2)
+        jumps = [np.sqrt(rate) * c
+                 for a, gamma, nbar in ((a1, params.gamma1, params.nbar1),
+                                        (a2, params.gamma2, params.nbar2))
+                 for rate, c in ((gamma * (nbar + 1.0), a), (gamma * nbar, a.T))
+                 if rate > 0.0]
+        h_eff = -params.g * (k + k.conj().T) - 0.5j * sum(c.conj().T @ c for c in jumps)
+        liou = sp.kronsum(1j * h_eff.conj(), -1j * h_eff, format="csr")
+        for c in jumps:
+            liou += sp.kron(c, c.conj(), format="csr")
+        state = oracle.build_initial(cat1, cat2, d1, d2)
+        expect = expm_multiply(t * liou, state.rho.reshape(-1), traceA=t * liou.diagonal().sum())
+        got = oracle.evolve(state, params, t).rho.reshape(-1)
+        assert np.max(np.abs(got - expect)) <= 1e-14
 
     def test_damped_matches_dense_exponential(self):
         params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
@@ -216,9 +265,10 @@ class TestPropagator:
             np.random.set_state(saved)
 
     def test_large_tl_is_reproducible_and_keeps_the_global_rng_state(self):
-        # strong damping makes ||tL - mu I||_1 far exceed 63.4, where
-        # expm_multiply estimates 1-norms from random vectors; unseeded, seeds
-        # 0-5 of the global generator gave two different results here
+        # strong damping makes ||tL - mu I||_1 far exceed 63.4, where scipy's
+        # expm_multiply estimated 1-norms from random vectors (unseeded, seeds
+        # 0-5 of the global generator gave two different results here); the
+        # Taylor propagator takes the exact 1-norm and draws nothing
         params = ca.AmplifierParams(g=1.0, pump_phase=0.0, gamma1=3.0, gamma2=3.0,
                                     nbar1=0.5, nbar2=0.5)
         state = oracle.build_initial(ca.CatSpec.even(0.6), ca.CatSpec.odd(0.5), 10, 10)
@@ -280,6 +330,40 @@ class TestObservables:
         n2 = 2.0 * (1.0 + math.exp(-2.0))
         expect = (2.0 / math.pi) * (2.0 * math.exp(-2.0) + 2.0) / n2
         assert got == pytest.approx(expect, rel=1e-10)
+
+    def test_displacement_elements_match_scipy_laguerre(self):
+        # |w|^2 up to 130 covers the oracle-check lattices (|2z|^2 <= 128)
+        dim = 30
+        x = np.concatenate([np.linspace(0.0, 130.0, 261), [1e-3, 0.37, 127.9]])
+        w = np.sqrt(x)
+        worst = 0.0
+        for k, elems in enumerate(oracle._displacement_diagonals(w, dim)):
+            for n in range(dim - k):
+                weight = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1)))
+                expect = weight * w ** k * np.exp(-0.5 * x) * eval_genlaguerre(n, k, x)
+                worst = max(worst, float(np.max(np.abs(elems[n] - expect))))
+        assert worst <= 1e-14
+
+    def test_wigner_matches_the_double_sum(self):
+        # Tr[rho D(2z) parity] summed pair by pair, with the scipy Laguerre polynomials
+        state = oracle.build_initial(ca.CatSpec.even(0.9, 0.4), ca.CatSpec.yurke_stoler(0.5),
+                                     16, 10)
+        params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=0.8, nbar1=0.3)
+        evolved = oracle.evolve(state, params, 0.2)
+        rho1 = evolved.reduced(1)
+        z = np.array([0.0, 0.3 - 0.2j, -1.1 + 0.7j, 2.5 + 1.5j])
+        w = 2.0 * z
+        x = np.abs(w) ** 2
+        expect = np.zeros(z.shape, dtype=complex)
+        for m in range(16):
+            for n in range(16):
+                lo, hi = min(m, n), max(m, n)
+                power = w ** (n - m) if n >= m else (-np.conj(w)) ** (m - n)
+                elem = (math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))) * power
+                        * np.exp(-0.5 * x) * eval_genlaguerre(lo, hi - lo, x))
+                expect += rho1[m, n] * (-1) ** m * elem
+        got = oracle.wigner(evolved, z)
+        assert np.max(np.abs(got - (2.0 / math.pi) * expect.real)) <= 1e-14
 
     def test_factorial_moment_poisson(self):
         # coherent-state falling factorials are powers of the mean
