@@ -9,8 +9,8 @@ function uses the displaced-parity kernel, whose matrix elements come from
 the three-term Laguerre recurrence.
 
 The oracle needs numpy and the standard library only: the generator is held
-as its nine nonzero diagonals and propagated by a truncated Taylor series,
-so running it loads no scipy module.
+as its at most nine nonzero diagonals and propagated by a truncated Taylor
+series, so running it loads no scipy module.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def mode_ops(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _generator(params: AmplifierParams, d1: int, d2: int) -> list[tuple[int, np.ndarray]]:
-    """Nonzero diagonals (offset, coefficients) of the master-equation generator.
+    """The diagonals (offset, coefficients) of the master-equation generator.
 
     L acts on row-major vec(rho) of the d = d1*d2 joint levels; as in np.diag,
     the diagonal of offset o holds L[p, p + o], so it has d*d - |o| entries.
@@ -125,7 +125,8 @@ def _generator(params: AmplifierParams, d1: int, d2: int) -> list[tuple[int, np.
     L = kron(-iH, 1) + kron(1, iH.T) + sum kron(c, conj(c)) - (G (+) G)/2,
     where H = -g (k + k+), k = e^{-i phi} a1 a2, and G = sum c+ c is diagonal
     (a a+ is n + 1 below the top level and 0 at it). Every operator here has
-    one offset, so L has at most nine diagonals, offset 0 first: the pump on
+    one offset, so at most nine diagonals can be nonzero; they come offset 0
+    first (zero when lossless), then the pump (zero when g = 0) on
     the ket at +-(d2+1) d, on the bra at +-(d2+1), the mode-1 jumps at
     +-(d2 d + d2) and the mode-2 jumps at +-(d + 1).
     """
@@ -216,7 +217,7 @@ def evolve(state: FockState, params: AmplifierParams, t: float) -> FockState:
     diagonals[0] = (0, diagonals[0][1] - mu)
     # a zero diagonal (offset 0 when lossless, the pump when g = 0) adds nothing
     scaled = [(o, h * c) for o, c in diagonals if c.any()]
-    del diagonals
+    del diagonals  # the loop holds one copy of the coefficients
     growth = math.exp(h * mu)
     vec = state.rho.astype(complex).reshape(-1)
     for _ in range(steps):
