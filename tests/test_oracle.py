@@ -204,6 +204,24 @@ class TestPropagator:
         got = oracle._shifted_norm(oracle._generator(params, 4, 3), mu)
         assert got == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("block", [1, 7, 13, 50, 144, 1000])
+    def test_blocked_product_is_the_whole_vector_product(self, block, monkeypatch, rng):
+        # the row blocks change no bit: each entry sums its diagonals in order
+        params = ca.AmplifierParams(g=0.8, pump_phase=1.3, gamma1=1.0, gamma2=0.5,
+                                    nbar1=0.3, nbar2=0.2)
+        diagonals = oracle._generator(params, 4, 3)
+        v = rng.normal(size=144) + 1j * rng.normal(size=144)
+        expect = np.zeros_like(v)
+        for offset, coef in diagonals:
+            if offset >= 0:
+                expect[:coef.size] += coef * v[offset:]
+            else:
+                expect[-offset:] += coef * v[:coef.size]
+        monkeypatch.setattr(oracle, "_ROW_BLOCK", block)
+        assert np.array_equal(oracle._apply(diagonals, v), expect)
+        dense = sum(np.diag(coef, offset) for offset, coef in diagonals)
+        assert np.allclose(expect, dense @ v, rtol=0, atol=1e-14 * np.max(np.abs(dense @ v)))
+
     @pytest.mark.parametrize("case", [
         (ca.CatSpec.even(0.79), ca.CatSpec.yurke_stoler(0.6),
          ca.AmplifierParams(g=1.0, pump_phase=0.7), 0.295, (14, 14)),
