@@ -43,8 +43,8 @@ _TRACE_DRIFT_TOL = 1e-8
 _TAYLOR_TERMS = 55
 _THETA_55 = 9.9
 _UNIT_ROUNDOFF = 2.0 ** -53
-# rows per block of a product: 256 kB of complex results; at 28 x 28 lossless
-# a blocked product takes 8.9 ms where whole-vector passes took 15.4 ms
+# rows per block of a product (256 kB of complex results); on a 2-core Xeon,
+# blocks cut a 28 x 28 lossless product from 15.4 ms to 8.9 ms
 _ROW_BLOCK = 1 << 14
 
 
