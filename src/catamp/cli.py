@@ -535,6 +535,8 @@ def cmd_scan(cfg: RunConfig) -> _Dataset:
     names, grids = zip(*(_scan_axis(cfg.scan, key, vkey, known)
                          for key, vkey in _SCAN_AXES
                          if key == "parameter" or key in cfg.scan))
+    if len(set(names)) < len(names):
+        raise ConfigError(f"scan.parameter2: {names[1]!r} is already scan.parameter")
     points = list(itertools.product(*grids))
     results = []
     for point in points:

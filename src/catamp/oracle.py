@@ -3,7 +3,10 @@
 Everything the closed forms predict is recomputed here directly from a
 two-mode density matrix in the number basis: one propagator, the action of
 the exponential of the master-equation generator (lossless or damped), and
-observables read straight off the matrix.
+observables read straight off the matrix. Each observable reads rho as a
+(d1, d2, d1, d2) tensor contracted with one d_j x d_j operator per mode, so
+the only objects on the joint space are rho and the generator's diagonals:
+no ladder operator on the joint space is built (there is no mode_ops).
 This module deliberately shares no code with the closed-form path; the Wigner
 function uses the displaced-parity kernel, whose matrix elements come from
 the three-term Laguerre recurrence.
@@ -60,7 +63,8 @@ class FockState:
         return float(np.real(np.trace(self.rho)))
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
+        """Tr rho^2 as the sum of rho * rho.T, exact for any matrix."""
+        return float(np.real(np.sum(self.rho * self.rho.T)))
 
     def reduced(self, mode: int) -> np.ndarray:
         """Single-mode reduced density matrix."""
@@ -72,17 +76,14 @@ class FockState:
         raise ValueError("mode must be 1 or 2")
 
 
-def _log_factorials(dim: int) -> np.ndarray:
-    return np.array([math.lgamma(n + 1) for n in range(dim)])
-
-
 def _coherent_vec(alpha: complex, dim: int) -> np.ndarray:
     n = np.arange(dim)
     if alpha == 0:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return v
-    logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * _log_factorials(dim)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])
+    logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * log_fact
     return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
 
 
@@ -104,17 +105,6 @@ def build_initial(cat1: CatSpec, cat2: CatSpec, dim1: int, dim2: int) -> FockSta
             )
     vec = np.kron(v1, v2)
     return FockState(dim1, dim2, np.outer(vec, vec.conj()))
-
-
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
-
-
-def mode_ops(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation operators of both modes on the joint space."""
-    a1 = np.kron(_destroy(state.dim1), np.eye(state.dim2))
-    a2 = np.kron(np.eye(state.dim1), _destroy(state.dim2))
-    return a1, a2
 
 
 def _generator(params: AmplifierParams, d1: int, d2: int) -> list[tuple[int, np.ndarray]]:
@@ -264,38 +254,44 @@ def pnd_single(state: FockState, mode: int) -> np.ndarray:
 
 def pnd_sum(state: FockState) -> np.ndarray:
     """Distribution of n1 + n2, length dim1 + dim2 - 1."""
-    diag = np.real(np.diag(state.rho)).reshape(state.dim1, state.dim2)
-    out = np.zeros(state.dim1 + state.dim2 - 1)
-    for n1 in range(state.dim1):
-        out[n1 : n1 + state.dim2] += diag[n1]
-    return out
+    total = np.add.outer(np.arange(state.dim1), np.arange(state.dim2)).ravel()
+    return np.bincount(total, weights=np.real(np.diag(state.rho)))
+
+
+def _expect(state: FockState, op1: np.ndarray, op2: np.ndarray) -> complex:
+    """Tr[rho (op1 (x) op2)], with rho read as a (d1, d2, d1, d2) tensor."""
+    r4 = state.rho.reshape(state.dim1, state.dim2, state.dim1, state.dim2)
+    return complex(np.einsum("ijkl,ki,lj->", r4, op1, op2))
+
+
+def _normal_power(dim: int, m: int, n: int) -> np.ndarray:
+    """a+^m a^n on one mode of dim levels."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    return np.linalg.matrix_power(a.T, m) @ np.linalg.matrix_power(a, n)
 
 
 def fock_moment(state: FockState, m1: int, n1: int, m2: int, n2: int) -> complex:
     """Normally ordered moment <a1+^m1 a1^n1 a2+^m2 a2^n2>."""
-    a1, a2 = mode_ops(state)
-    op = (
-        np.linalg.matrix_power(a1.conj().T, m1)
-        @ np.linalg.matrix_power(a1, n1)
-        @ np.linalg.matrix_power(a2.conj().T, m2)
-        @ np.linalg.matrix_power(a2, n2)
-    )
-    return complex(np.trace(state.rho @ op))
+    return _expect(state, _normal_power(state.dim1, m1, n1), _normal_power(state.dim2, m2, n2))
 
 
 def quadrature_variances(state: FockState) -> dict[str, float]:
-    """Variances of X_j, Y_j (quadratures (a+a+)/2) and the compound X, Y."""
-    a1, a2 = mode_ops(state)
-    out = {}
-    for label, op in (("1", a1), ("2", a2), ("c", a1 + a2)):
-        x = 0.5 * (op + op.conj().T)
-        y = -0.5j * (op - op.conj().T)
-        for qlabel, q in ((f"x{label}", x), (f"y{label}", y)):
-            rq = state.rho @ q
-            mean = np.real(np.trace(rq))
-            sq = np.real(np.sum(rq * q.T))
-            out[qlabel] = float(sq - mean**2)
-    return out
+    """Variances of X_j, Y_j (quadratures (a+a+)/2) and the compound X, Y.
+
+    Each is Tr[rho q^2] - Tr[rho q]^2; the compound quadrature of a1 + a2 is
+    q1 (x) 1 + 1 (x) q2, whose square is q1^2 (x) 1 + 2 q1 (x) q2 + 1 (x) q2^2.
+    """
+    a1, a2 = _normal_power(state.dim1, 0, 1), _normal_power(state.dim2, 0, 1)
+    one1, one2 = np.eye(state.dim1), np.eye(state.dim2)
+    parts = {}
+    for name, scale, sign in (("x", 0.5, 1.0), ("y", -0.5j, -1.0)):
+        q1, q2 = scale * (a1 + sign * a1.T), scale * (a2 + sign * a2.T)
+        mean1, mean2 = _expect(state, q1, one2).real, _expect(state, one1, q2).real
+        sq1, sq2 = _expect(state, q1 @ q1, one2).real, _expect(state, one1, q2 @ q2).real
+        cross = _expect(state, q1, q2).real
+        parts[name] = (sq1 - mean1**2, sq2 - mean2**2,
+                       sq1 + 2.0 * cross + sq2 - (mean1 + mean2) ** 2)
+    return {f"{name}{label}": parts[name][i] for i, label in enumerate("12c") for name in "xy"}
 
 
 def squeeze_factors(state: FockState) -> dict[str, float]:
@@ -362,22 +358,15 @@ def wigner(state: FockState, z, mode: int = 1) -> np.ndarray:
 
 
 def _exp_creation(z: complex, dim: int) -> np.ndarray:
-    """Matrix of e^{z a+} in the number basis (lower triangular)."""
-    logfact = _log_factorials(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        for n in range(m + 1):
-            out[m, n] = math.exp(
-                0.5 * (logfact[m] - logfact[n]) - logfact[m - n]
-            ) * z ** (m - n)
-    return out
+    """Matrix of e^{z a+} in the number basis (lower triangular; a+^dim = 0)."""
+    return sum(z**k / math.factorial(k) * _normal_power(dim, k, 0) for k in range(dim))
 
 
 def char_fn(state: FockState, zeta1: complex, zeta2: complex) -> complex:
     """Normally ordered characteristic function Tr[rho e^{z a+} e^{-z* a} ...]."""
     p1 = _exp_creation(zeta1, state.dim1) @ _exp_creation(-zeta1, state.dim1).conj().T
     p2 = _exp_creation(zeta2, state.dim2) @ _exp_creation(-zeta2, state.dim2).conj().T
-    return complex(np.trace(state.rho @ np.kron(p1, p2)))
+    return _expect(state, p1, p2)
 
 
 def factorial_moment(state: FockState, k: int, scope: str = "compound", mode: int = 1) -> float:

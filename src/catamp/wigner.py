@@ -46,9 +46,12 @@ class GridSpec:
         for name in ("x_min", "x_max", "y_min", "y_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("nx", "ny"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
+        for axis, low, high, num in (("x", self.x_min, self.x_max, self.nx),
+                                     ("y", self.y_min, self.y_max, self.ny)):
+            if num < 2:
+                raise ValueError(f"n{axis} must be >= 2, got {num}")
+            if not low < high:
+                raise ValueError(f"{axis}_max must be > {axis}_min, got {high} <= {low}")
 
 
 @dataclass(frozen=True)

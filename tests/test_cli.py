@@ -243,6 +243,13 @@ class TestBadValues:
         ("squeeze", {"scenario": 7}, "scenario: expected a string, got 7"),
         ("squeeze", {"observable": ["Q"]}, "observable: expected a string, got ['Q']"),
         ("squeeze", {"format": None}, "format: expected a string, got None"),
+        ("scan", {"observable": "mean_n1", "scan": {"parameter": "t", "values": [0.1],
+                                                    "parameter2": "t", "values2": [0.5]}},
+         "scan.parameter2: 't' is already scan.parameter"),
+        ("wigner", {"grid": {"x_min": 4, "x_max": -4, "y_min": -4, "y_max": 4}},
+         "grid: x_max must be > x_min, got -4.0 <= 4.0"),
+        ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": 2, "y_max": 2}},
+         "grid: y_max must be > y_min, got 2.0 <= 2.0"),
     ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan",
             "time_text", "cut_y_text", "cut_y_inf", "mode_text", "k_text", "n_max_text",
             "n_max_inf", "amp_mag_text", "amp_phase_list", "rel_phase_text", "params_g_text",
@@ -252,7 +259,8 @@ class TestBadValues:
             "pnd_observable_unknown", "cat_degenerate_odd", "cat_kind_list",
             "scan_parameter_list", "time_numeric_text", "amp_mag_numeric_text",
             "params_g_numeric_text", "n_max_numeric_text", "scan_value_numeric_text",
-            "out_null", "scenario_number", "observable_list", "format_null"])
+            "out_null", "scenario_number", "observable_list", "format_null",
+            "scan_same_field_twice", "grid_x_reversed", "grid_y_zero_width"])
     def test_exit_2_names_the_field(self, tmp_path, monkeypatch, capsys, command, extra,
                                     message):
         out = tmp_path / "out.csv"

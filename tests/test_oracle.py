@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -141,9 +142,15 @@ class TestEvolve:
             oracle.evolve(state, params, t)
 
 
+def _dense_mode_ops(d1, d2):
+    """Annihilation operators of both modes on the joint space, row n1*d2 + n2."""
+    a1, a2 = (np.diag(np.sqrt(np.arange(1.0, d)), 1) for d in (d1, d2))
+    return np.kron(a1, np.eye(d2)), np.kron(np.eye(d1), a2)
+
+
 def _dense_generator(params, state):
     """Master-equation generator on row-major vec(rho), column by column."""
-    a1, a2 = oracle.mode_ops(state)
+    a1, a2 = _dense_mode_ops(state.dim1, state.dim2)
     k = np.exp(-1j * params.pump_phase) * (a1 @ a2)
     h = -params.g * (k + k.conj().T)
     modes = ((a1, params.gamma1, params.nbar1), (a2, params.gamma2, params.nbar2))
@@ -173,7 +180,7 @@ class TestPropagator:
         params = ca.AmplifierParams(g=1.0, pump_phase=0.7)
         t = 0.4
         state = oracle.build_initial(ca.CatSpec.even(0.5), ca.CatSpec.yurke_stoler(0.4), 10, 9)
-        a1, a2 = oracle.mode_ops(state)
+        a1, a2 = _dense_mode_ops(10, 9)
         k = np.exp(-1j * params.pump_phase) * (a1 @ a2)
         u = expm(1j * params.g * t * (k + k.conj().T))
         expect = u @ state.rho @ u.conj().T
@@ -237,8 +244,7 @@ class TestPropagator:
         # kronsum(i conj(H_eff), -i H_eff) + sum kron(c, conj(c)), built
         # without _generator; the 14 x 14 cases are two of the benchmark's
         cat1, cat2, params, t, (d1, d2) = case
-        a1 = sp.kron(sp.csr_matrix(oracle._destroy(d1)), sp.identity(d2), format="csr")
-        a2 = sp.kron(sp.identity(d1), sp.csr_matrix(oracle._destroy(d2)), format="csr")
+        a1, a2 = (sp.csr_matrix(a) for a in _dense_mode_ops(d1, d2))
         k = np.exp(-1j * params.pump_phase) * (a1 @ a2)
         jumps = [np.sqrt(rate) * c
                  for a, gamma, nbar in ((a1, params.gamma1, params.nbar1),
@@ -306,6 +312,9 @@ class TestPropagator:
             np.random.set_state(saved)
 
 
+_DAMPED = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5, nbar1=0.3, nbar2=0.2)
+
+
 class TestObservables:
     def test_vacuum_variances(self):
         state = oracle.build_initial(ca.CatSpec.even(0.0), ca.CatSpec.even(0.0), 8, 8)
@@ -316,20 +325,50 @@ class TestObservables:
         assert all(abs(val) < 1e-12 for val in sf.values())
 
     def test_variances_match_three_product_form(self):
-        params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
-                                    nbar1=0.3, nbar2=0.2)
-        state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.yurke_stoler(0.6), 12, 12)
-        evolved = oracle.evolve(state, params, 0.3)
-        a1, a2 = oracle.mode_ops(evolved)
+        # unequal dimensions catch a swap of d1 and d2 in the tensor reading of rho
+        for cat1, cat2, dims in ((ca.CatSpec.even(0.8), ca.CatSpec.yurke_stoler(0.6), (12, 12)),
+                                 (ca.CatSpec.even(0.5), ca.CatSpec.yurke_stoler(0.3), (9, 7))):
+            state = oracle.build_initial(cat1, cat2, *dims)
+            evolved = oracle.evolve(state, _DAMPED, 0.3)
+            a1, a2 = _dense_mode_ops(*dims)
+            rho = evolved.rho
+            got = oracle.quadrature_variances(evolved)
+            for label, op in (("1", a1), ("2", a2), ("c", a1 + a2)):
+                x = 0.5 * (op + op.conj().T)
+                y = -0.5j * (op - op.conj().T)
+                for q, key in ((x, f"x{label}"), (y, f"y{label}")):
+                    # Tr(rho q^2) - Tr(rho q)^2
+                    expect = np.trace(rho @ q @ q).real - np.trace(rho @ q).real ** 2
+                    assert got[key] == pytest.approx(expect, rel=0, abs=1e-14)
+
+    def test_observables_match_dense_kron_at_unequal_dims(self):
+        # every observable against operators on the joint space, at 9 x 7
+        state = oracle.build_initial(ca.CatSpec.even(0.5), ca.CatSpec.yurke_stoler(0.3), 9, 7)
+        evolved = oracle.evolve(state, _DAMPED, 0.3)
         rho = evolved.rho
-        got = oracle.quadrature_variances(evolved)
-        for label, op in (("1", a1), ("2", a2), ("c", a1 + a2)):
-            x = 0.5 * (op + op.conj().T)
-            y = -0.5j * (op - op.conj().T)
-            for q, key in ((x, f"x{label}"), (y, f"y{label}")):
-                # Tr(rho q^2) - Tr(rho q)^2
-                expect = np.trace(rho @ q @ q).real - np.trace(rho @ q).real ** 2
-                assert got[key] == pytest.approx(expect, rel=0, abs=1e-14)
+        a1, a2 = _dense_mode_ops(9, 7)
+        power = np.linalg.matrix_power
+        for m1, n1, m2, n2 in itertools.product(range(5), repeat=4):
+            if m1 + n1 + m2 + n2 <= 4:
+                op = power(a1.T, m1) @ power(a1, n1) @ power(a2.T, m2) @ power(a2, n2)
+                expect = np.trace(rho @ op)
+                assert abs(oracle.fock_moment(evolved, m1, n1, m2, n2) - expect) <= 1e-14
+        for z1, z2 in ((0.3 - 0.2j, 0.5j), (-0.6, 0.4 + 0.1j)):
+            # e^{z1 a1+} e^{-z1* a1} e^{z2 a2+} e^{-z2* a2}, from scipy's expm
+            op = (expm(z1 * a1.T) @ expm(-np.conj(z1) * a1)
+                  @ expm(z2 * a2.T) @ expm(-np.conj(z2) * a2))
+            assert abs(oracle.char_fn(evolved, z1, z2) - np.trace(rho @ op)) <= 1e-14
+        total = np.diag(np.kron(np.diag(np.arange(9)), np.eye(7))
+                        + np.kron(np.eye(9), np.diag(np.arange(7))))
+        expect = [np.trace(rho @ np.diag(total == n)).real for n in range(15)]
+        assert np.allclose(oracle.pnd_sum(evolved), expect, rtol=0, atol=1e-15)
+        # one class part: |alpha><-alpha| (x) |cat2><cat2|, evolved, is not Hermitian
+        cat2 = oracle._cat_vec(ca.CatSpec.yurke_stoler(0.3), 7)
+        ket, bra = (np.kron(oracle._coherent_vec(alpha, 9), cat2) for alpha in (0.5, -0.5))
+        part = oracle.evolve(oracle.FockState(9, 7, np.outer(ket, bra.conj())), _DAMPED, 0.3)
+        assert np.max(np.abs(part.rho - part.rho.conj().T)) > 1e-3
+        expect = np.trace(part.rho @ part.rho).real
+        assert part.purity() == pytest.approx(expect, rel=0, abs=1e-15)
 
     def test_sum_pnd_of_fock_pair(self):
         # |1> (x) |1> has its entire mass at total n = 2

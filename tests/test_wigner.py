@@ -239,6 +239,14 @@ class TestCutAndPeaks:
             with pytest.raises(ValueError, match="ny must be >= 2, got 1"):
                 GridSpec(-1.0, 1.0, -1.0, y_max, ny=1)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("low, high", [(1.0, -1.0), (0.5, 0.5)], ids=["reversed", "zero_width"])
+    def test_reversed_or_empty_range_rejected(self, axis, low, high):
+        bounds = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0)
+        bounds.update({f"{axis}_min": low, f"{axis}_max": high})
+        with pytest.raises(ValueError, match=f"{axis}_max must be > {axis}_min"):
+            GridSpec(**bounds)
+
     def test_fig1_negativity_switch(self):
         # negativity on the reference cut appears only for a larger signal cat
         vals = {}
