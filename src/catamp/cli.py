@@ -23,7 +23,7 @@ import numpy as np
 from . import oracle
 from ._g17 import g17_cells
 from .charfn import moment
-from .coeffs import evolve_terms
+from .coeffs import coeffs_at, evolve_terms
 from .params import AmplifierParams, CatSpec, System
 from .photon_stats import (MAX_FACTORIAL_ORDER, TruncationWarning, factorial_moments,
                            single_pnd, sum_pnd)
@@ -137,12 +137,6 @@ _READERS = {
 }
 
 
-def _check_time(t: float, where: str) -> float:
-    if not (math.isfinite(t) and t >= 0):
-        raise ConfigError(f"{where}: must be finite and >= 0")
-    return t
-
-
 @dataclass
 class RunConfig:
     """One command's full configuration; round-trips through JSON.
@@ -168,7 +162,10 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        _check_time(self.time, "time")
+        try:
+            coeffs_at(self.params, self.time)
+        except ValueError as exc:
+            raise ConfigError(f"time: {exc}") from None
         if not math.isfinite(self.cut_y):
             raise ConfigError("cut_y: must be finite")
         if self.mode not in (1, 2):
@@ -496,16 +493,22 @@ _OBSERVABLES = {
 }
 
 
-def _with_field(system: System, t: float, name: str, value: float) -> tuple[System, float]:
-    """The scan point with one field ("t" or "<group>.<field>") set to value."""
-    if name == "t":
-        return system, _check_time(float(value), f"scan value {value} for t")
-    group, attr = name.split(".")
+def _with_field(system: System, t: float, point: dict[str, float]) -> tuple[System, float]:
+    """system and t with the fields of point ("t" or "<group>.<field>") set, a
+    group's fields at once; refused unless coeffs_at evaluates the result."""
+    groups: dict[str, dict[str, float]] = {}
+    for name, value in point.items():
+        group, _, attr = name.rpartition(".")  # "t" is in the group ""
+        groups.setdefault(group, {})[attr] = float(value)
     try:
-        part = replace(getattr(system, group), **{attr: float(value)})
+        t = groups.pop("", {}).get("t", t)
+        system = replace(system, **{group: replace(getattr(system, group), **values)
+                                    for group, values in groups.items()})
+        coeffs_at(system.params, t)
     except ValueError as exc:
-        raise ConfigError(f"scan value {value} for {name}: {exc}") from None
-    return replace(system, **{group: part}), t
+        where = ", ".join(f"{value} for {name}" for name, value in point.items())
+        raise ConfigError(f"scan value {where}: {exc}") from None
+    return system, t
 
 
 def _scan_axis(scan: dict, key: str, vkey: str, known: set[str]) -> tuple[str, np.ndarray]:
@@ -534,16 +537,12 @@ def cmd_scan(cfg: RunConfig) -> _Dataset:
                     for f in fields(getattr(base, group.name)))}
     names, grids = zip(*(_scan_axis(cfg.scan, key, vkey, known)
                          for key, vkey in _SCAN_AXES
-                         if key == "parameter" or key in cfg.scan))
+                         if key == "parameter" or cfg.scan.keys() & {key, vkey}))
     if len(set(names)) < len(names):
         raise ConfigError(f"scan.parameter2: {names[1]!r} is already scan.parameter")
     points = list(itertools.product(*grids))
-    results = []
-    for point in points:
-        system, t = base, cfg.time
-        for name, value in zip(names, point):
-            system, t = _with_field(system, t, name, value)
-        results.append(evaluate(cfg, system, t))
+    results = [evaluate(cfg, *_with_field(base, cfg.time, dict(zip(names, point))))
+               for point in points]
     return [*names, cfg.observable], [*map(np.asarray, zip(*points)), np.asarray(results)], {}
 
 
@@ -582,6 +581,7 @@ def cmd_squeeze(cfg: RunConfig) -> _Dataset:
 
 def _oracle_deviations(system: System, t: float, dims: tuple[int, int],
                        wigner_extent: float, wigner_n: int) -> dict[str, float]:
+    """Max |closed form - Fock oracle| per observable; oracle-check and criterion 2 run it."""
     state = oracle.build_initial(system.cat1, system.cat2, *dims)
     evolved = oracle.evolve(state, system.params, t)
     out: dict[str, float] = {}

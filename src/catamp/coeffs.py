@@ -59,11 +59,21 @@ def coeffs_at(params: AmplifierParams, t: float) -> EvolvedCoeffs:
     + (P++ + P-- - 2P+-) RQR] / 4, with P the integrals of the three exponents
     e^{2(omega - sigma)s}, e^{-2(omega + sigma)s} and e^{-2 sigma s}.  No
     denominator vanishes on the critical surface gamma1*gamma2 = 4g^2.
-    B1N = X11, B2N = X22 and D = conj(X12).  Every observable evaluates
-    through here, so a non-finite t is refused for all of them.
+    B1N = X11, B2N = X22 and D = conj(X12).  Every observable evaluates through
+    here, so all refuse a t that is not finite and >= 0 or overflows a coefficient.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
+    try:
+        c = _coeffs(params, t)
+        if all(map(cmath.isfinite, (c.f1, c.f2, c.f3, c.B1N, c.B2N, c.D))):
+            return c
+    except OverflowError:
+        pass
+    raise ValueError(f"t = {t} puts a coefficient beyond float range for this amplifier")
+
+
+def _coeffs(params: AmplifierParams, t: float) -> EvolvedCoeffs:
     g, g1, g2 = params.g, params.gamma1, params.gamma2
     q1, q2 = g1 * params.nbar1, g2 * params.nbar2
     phasor = cmath.exp(1j * params.pump_phase)

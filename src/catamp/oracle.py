@@ -6,7 +6,7 @@ the exponential of the master-equation generator (lossless or damped), and
 observables read straight off the matrix. Each observable reads rho as a
 (d1, d2, d1, d2) tensor contracted with one d_j x d_j operator per mode, so
 the only objects on the joint space are rho and the generator's diagonals:
-no ladder operator on the joint space is built (there is no mode_ops).
+no ladder operator on the joint space is built.
 This module deliberately shares no code with the closed-form path; the Wigner
 function uses the displaced-parity kernel, whose matrix elements come from
 the three-term Laguerre recurrence.

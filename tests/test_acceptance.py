@@ -32,9 +32,8 @@ from scipy.optimize import minimize, minimize_scalar
 
 import catamp as ca
 from catamp import oracle
-from catamp.cli import main as cli_main
+from catamp.cli import _oracle_deviations, main as cli_main
 from catamp.squeezing import _f_even
-from catamp.wigner import GridSpec
 
 from conftest import record_criterion
 
@@ -87,40 +86,6 @@ def test_criterion_1_normalization_suite():
     assert elapsed < 120.0
 
 
-def _compare_with_oracle(system, t, dims, tol, extent=4.0, npts=41):
-    state = oracle.build_initial(system.cat1, system.cat2, *dims)
-    evolved = oracle.evolve(state, system.params, t)
-    devs = {}
-
-    ref_sum = oracle.pnd_sum(evolved)
-    dist = ca.sum_pnd(system, t, n_max=len(ref_sum) - 1)
-    devs["pnd_sum"] = float(np.max(np.abs(dist.probs - ref_sum)))
-
-    for mode in (1, 2):
-        ref1 = oracle.pnd_single(evolved, mode)
-        d1 = ca.single_pnd(mode, system, t, n_max=len(ref1) - 1)
-        devs[f"pnd_{mode}"] = float(np.max(np.abs(d1.probs - ref1)))
-
-    ref_v = oracle.quadrature_variances(evolved)
-    s1 = ca.single_mode_squeezing(1, system, t)
-    s2 = ca.single_mode_squeezing(2, system, t)
-    devs["variances"] = max(
-        abs((s1.S + 0.25) - ref_v["x1"]), abs((s1.Q + 0.25) - ref_v["y1"]),
-        abs((s2.S + 0.25) - ref_v["x2"]), abs((s2.Q + 0.25) - ref_v["y2"]),
-    )
-
-    xs = np.linspace(-extent, extent, npts)
-    z = xs[None, :] + 1j * xs[:, None]
-    ref_w = oracle.wigner(evolved, z)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = ca.wigner_grid(system, t,
-                              GridSpec(-extent, extent, -extent, extent, npts, npts))
-    devs["wigner"] = float(np.max(np.abs(grid.values - ref_w)))
-    worst = max(devs.values())
-    return worst, devs
-
-
 def test_criterion_2_oracle_equivalence():
     start = time.time()
     undamped = [
@@ -131,7 +96,7 @@ def test_criterion_2_oracle_equivalence():
     ]
     worst_undamped = 0.0
     for system in undamped:
-        worst, _ = _compare_with_oracle(system, 0.5, (26, 24), 1e-6)
+        worst = max(_oracle_deviations(system, 0.5, (26, 24), 4.0, 41).values())
         worst_undamped = max(worst_undamped, worst)
 
     worst_damped = 0.0
@@ -141,7 +106,7 @@ def test_criterion_2_oracle_equivalence():
                 ca.CatSpec.even(1.1), ca.CatSpec.yurke_stoler(0.9),
                 ca.AmplifierParams(g=1.0, pump_phase=np.pi / 2, gamma1=gamma,
                                    gamma2=gamma, nbar1=nbar, nbar2=nbar))
-            worst, _ = _compare_with_oracle(system, 0.4, (22, 22), 1e-4)
+            worst = max(_oracle_deviations(system, 0.4, (22, 22), 4.0, 41).values())
             worst_damped = max(worst_damped, worst)
     elapsed = time.time() - start
     ok = worst_undamped <= 1e-6 and worst_damped <= 1e-4 and elapsed < 600.0

@@ -176,6 +176,20 @@ class TestScanCommand:
         rows = (tmp_path / "scan2.csv").read_text().splitlines()
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("first, second", [("cat1.amp_mag", "cat1.rel_phase"),
+                                               ("cat1.rel_phase", "cat1.amp_mag")])
+    def test_fields_of_one_cat_are_set_together(self, tmp_path, first, second):
+        # odd(1) -> even(0), the vacuum, whichever axis comes first; odd(0) on
+        # the way would be the zero vector
+        cfg = write_config(tmp_path, {
+            "cat1": {"kind": "odd", "amp_mag": 1.0}, "observable": "Q",
+            "scan": {"parameter": first, "values": [0.0], "parameter2": second,
+                     "values2": [0.0]},
+            "out": str(tmp_path / "scan.csv"),
+        })
+        assert main(["scan", "--config", cfg]) == 0
+        assert (tmp_path / "scan.csv").read_text().splitlines()[0] == f"{first},{second},Q"
+
     def test_unknown_observable(self, tmp_path):
         cfg = write_config(tmp_path, {
             "observable": "nope",
@@ -185,16 +199,21 @@ class TestScanCommand:
         assert main(["scan", "--config", cfg]) == 2
 
 
+# even(1) x odd(0.7) at g = 1, whose coefficients leave float range near g*t = 352
+FLOAT_RANGE = {"cat1": {"kind": "even", "amp_mag": 1.0}, "cat2": {"kind": "odd", "amp_mag": 0.7},
+               "params": {"g": 1.0}}
+
+
 class TestBadValues:
     @pytest.mark.parametrize("command, extra, message", [
         ("scan", {"observable": "Q", "scan": {"parameter": "t", "values": [0.1, -0.2]}},
-         "scan value -0.2 for t: must be"),
+         "scan value -0.2 for t: t must be finite and >= 0, got -0.2"),
         ("scan", {"observable": "kc_compound", "k": -1,
                   "scan": {"parameter": "t", "values": [0.1]}}, "k: must be"),
         ("pnd", {"n_max": -1}, "n_max: must be"),
         ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": 1}},
          "grid: nx must be"),
-        ("squeeze", {"time": math.nan}, "time: must be"),
+        ("squeeze", {"time": math.nan}, "time: t must be finite and >= 0, got nan"),
         ("squeeze", {"time": "abc"}, "time: expected a number"),
         ("wigner", {"cut_y": "abc"}, "cut_y: expected a number"),
         ("wigner", {"cut_y": math.inf}, "cut_y: must be finite"),
@@ -250,6 +269,18 @@ class TestBadValues:
          "grid: x_max must be > x_min, got -4.0 <= 4.0"),
         ("wigner", {"grid": {"x_min": -4, "x_max": 4, "y_min": 2, "y_max": 2}},
          "grid: y_max must be > y_min, got 2.0 <= 2.0"),
+        ("squeeze", {**FLOAT_RANGE, "time": 354.0}, "time: t = 354.0 puts a coefficient beyond"),
+        ("pnd", {**FLOAT_RANGE, "time": 354.0}, "time: t = 354.0 puts a coefficient beyond"),
+        ("wigner", {**FLOAT_RANGE, "time": 354.0}, "time: t = 354.0 puts a coefficient beyond"),
+        ("scan", {**FLOAT_RANGE, "observable": "Q",
+                  "scan": {"parameter": "t", "values": [1.0, 400.0]}},
+         "scan value 400.0 for t: t = 400.0 puts a coefficient beyond"),
+        ("scan", {**FLOAT_RANGE, "observable": "Q",
+                  "scan": {"parameter": "params.g", "values": [1.0, 1e160]}},
+         "scan value 1e+160 for params.g: t = 0.3 puts a coefficient beyond"),
+        ("scan", {"observable": "Q", "scan": {"parameter": "t", "values": [0.1, 0.2],
+                                              "values2": [5, 6, 7]}},
+         "scan.parameter2: required"),
     ], ids=["scan_t_negative", "k_negative", "n_max_negative", "grid_nx_1", "time_nan",
             "time_text", "cut_y_text", "cut_y_inf", "mode_text", "k_text", "n_max_text",
             "n_max_inf", "amp_mag_text", "amp_phase_list", "rel_phase_text", "params_g_text",
@@ -260,7 +291,9 @@ class TestBadValues:
             "scan_parameter_list", "time_numeric_text", "amp_mag_numeric_text",
             "params_g_numeric_text", "n_max_numeric_text", "scan_value_numeric_text",
             "out_null", "scenario_number", "observable_list", "format_null",
-            "scan_same_field_twice", "grid_x_reversed", "grid_y_zero_width"])
+            "scan_same_field_twice", "grid_x_reversed", "grid_y_zero_width",
+            "squeeze_float_range", "pnd_float_range", "wigner_float_range",
+            "scan_t_float_range", "scan_g_float_range", "scan_values2_without_parameter2"])
     def test_exit_2_names_the_field(self, tmp_path, monkeypatch, capsys, command, extra,
                                     message):
         out = tmp_path / "out.csv"

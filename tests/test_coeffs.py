@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import sys
@@ -305,6 +306,55 @@ class TestNonFiniteTime:
         system = make_system("even", 1.0, "odd", 0.5)
         with pytest.raises(ValueError, match="t must be finite"):
             observable(system, t)
+
+
+_OVERDAMPED = ca.AmplifierParams(g=1.0, gamma1=5.0, gamma2=5.0, nbar1=0.5, nbar2=0.5)
+
+
+class TestFloatRange:
+    # where a coefficient leaves float range coeffs_at refuses t, so no
+    # observable sees a NaN or an OverflowError
+    @pytest.mark.parametrize("params, t", [
+        (ca.AmplifierParams(g=1.0), 352.0),
+        (ca.AmplifierParams(g=1.0), 354.0),
+        (ca.AmplifierParams(g=1.0), 355.0),
+        (_OVERDAMPED, 720.0),
+        (ca.AmplifierParams(g=1e160), 0.1),
+    ], ids=["lossless_nan", "lossless_nan_354", "lossless_expm1_overflow",
+            "overdamped_cosh_overflow", "huge_g"])
+    def test_refused_naming_t(self, params, t):
+        with pytest.raises(ValueError, match=f"t = {t} puts a coefficient beyond float range"):
+            ca.coeffs_at(params, t)
+
+    def test_observables_refuse_it(self):
+        system = make_system("even", 1.0, "odd", 0.7)
+        for observable in (ca.two_mode_squeezing, ca.sum_pnd, ca.wigner_grid):
+            with pytest.raises(ValueError, match="beyond float range"):
+                observable(system, 354.0)
+
+    def test_last_values_before_the_frontier(self):
+        # lossless B1N = sinh^2(g t)
+        lossless = ca.coeffs_at(ca.AmplifierParams(g=1.0), 351.0)
+        assert lossless.B1N == pytest.approx(math.sinh(351.0) ** 2, rel=1e-12)
+        # the overdamped steady state, reached long before cosh overflows
+        late, steady = ca.coeffs_at(_OVERDAMPED, 700.0), ca.coeffs_at(_OVERDAMPED, 50.0)
+        assert (late.B1N, late.D) == pytest.approx((steady.B1N, steady.D), rel=1e-14)
+        assert late.B1N == pytest.approx(0.690476, abs=1e-6)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(g=st.floats(0.0, 2.0), gamma1=st.floats(0.0, 8.0), gamma2=st.floats(0.0, 8.0),
+       nbar1=st.floats(0.0, 2.0), nbar2=st.floats(0.0, 2.0),
+       pump=st.floats(0.0, 2.0 * math.pi, exclude_max=True), t=st.floats(0.0, 1000.0))
+def test_coefficients_finite_or_refused(g, gamma1, gamma2, nbar1, nbar2, pump, t):
+    # never a NaN, never an OverflowError: six finite numbers or the refusal
+    params = ca.AmplifierParams(g, pump, gamma1, gamma2, nbar1, nbar2)
+    try:
+        c = ca.coeffs_at(params, t)
+    except ValueError as exc:
+        assert "beyond float range" in str(exc)
+        return
+    assert all(map(cmath.isfinite, (c.f1, c.f2, c.f3, c.B1N, c.B2N, c.D)))
 
 
 class TestOneEvaluationPerCall:

@@ -270,9 +270,9 @@ class TestPropagator:
         assert np.max(np.abs(got - expect)) < 1e-13
 
     def test_bit_identical_under_any_global_rng_state(self):
-        # expm_multiply takes the exact 1-norm of the sparse tL; it draws from
-        # np.random (seeded by evolve) only to estimate 1-norms of powers of a
-        # large tL, which t = 3 reaches here and t = 0.3 does not
+        # the Taylor loop takes s = ceil(t ||L - mu I||_1 / 9.9) steps, with the
+        # 1-norm (76.15 here) read exactly off the diagonals: s = 3 at t = 0.3
+        # and s = 24 at t = 3; neither count nor any step draws from np.random
         params = ca.AmplifierParams(g=1.0, pump_phase=0.7, gamma1=1.0, gamma2=0.5,
                                     nbar1=0.3, nbar2=0.2)
         state = oracle.build_initial(ca.CatSpec.even(0.8), ca.CatSpec.odd(0.6), 12, 12)
