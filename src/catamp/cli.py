@@ -23,7 +23,7 @@ import numpy as np
 from . import oracle
 from ._g17 import g17_cells
 from .charfn import moment
-from .coeffs import coeffs_at, evolve_terms
+from .coeffs import evolve_terms
 from .params import AmplifierParams, CatSpec, System
 from .photon_stats import (MAX_FACTORIAL_ORDER, TruncationWarning, factorial_moments,
                            single_pnd, sum_pnd)
@@ -163,7 +163,7 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            coeffs_at(self.params, self.time)
+            evolve_terms(self.system, self.time)  # the record the command reads
         except ValueError as exc:
             raise ConfigError(f"time: {exc}") from None
         if not math.isfinite(self.cut_y):
@@ -495,7 +495,8 @@ _OBSERVABLES = {
 
 def _with_field(system: System, t: float, point: dict[str, float]) -> tuple[System, float]:
     """system and t with the fields of point ("t" or "<group>.<field>") set, a
-    group's fields at once; refused unless coeffs_at evaluates the result."""
+    group's fields at once; refused unless evolve_terms builds the result's
+    record, which the scan's observable then reads."""
     groups: dict[str, dict[str, float]] = {}
     for name, value in point.items():
         group, _, attr = name.rpartition(".")  # "t" is in the group ""
@@ -504,7 +505,7 @@ def _with_field(system: System, t: float, point: dict[str, float]) -> tuple[Syst
         t = groups.pop("", {}).get("t", t)
         system = replace(system, **{group: replace(getattr(system, group), **values)
                                     for group, values in groups.items()})
-        coeffs_at(system.params, t)
+        evolve_terms(system, t)
     except ValueError as exc:
         where = ", ".join(f"{value} for {name}" for name, value in point.items())
         raise ConfigError(f"scan value {where}: {exc}") from None

@@ -14,6 +14,7 @@ the term table of rho_terms into the record the observables read, once per
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,9 +141,10 @@ class EvolvedTerms:
         raise ValueError("mode must be 1 or 2")
 
 
+@functools.lru_cache(maxsize=1)
 def _evolve(system: System, t: float) -> EvolvedTerms:
     """The system's term table and the coefficients at t, combined; the
-    record's arrays are read-only, since evolve_terms hands it out again."""
+    record's arrays are read-only, since the cache hands it out again."""
     table, norm = enumerate_terms(system.cat1, system.cat2)
     c = coeffs_at(system.params, t)
     f2c = c.f2.conjugate()
@@ -159,24 +161,11 @@ def _evolve(system: System, t: float) -> EvolvedTerms:
     return ev
 
 
-# the last record built, as (system, t, record); replaced as a whole
-_last: tuple = (None, None, None)
-
-
 def evolve_terms(system: System, t: float) -> EvolvedTerms:
     """The system's term table and the coefficients at t, combined once.
 
-    The last record is kept and returned again while the same System object
-    and the same t object come back, as they do when one observable calls
-    another at one point.  Identity, not equality, is the key: equality
-    takes -0.0 for 0.0 (in t and in amp_phase), and a hit would then return
-    bits that depend on the call order.  Only a float t can hit: a 0-d array
-    is the same object after its value changed.
+    The last record is returned again while an equal (system, t) comes back,
+    as it does when one observable calls another at one point.  Equal keys
+    build identical bits: a System stores a zero as +0.0, and so does t here.
     """
-    global _last
-    s0, t0, ev = _last
-    if system is s0 and t is t0 and isinstance(t, float):
-        return ev
-    ev = _evolve(system, t)
-    _last = (system, t, ev)
-    return ev
+    return _evolve(system, float(t + 0.0))

@@ -20,8 +20,9 @@ class DegenerateCat(ValueError):
 
 
 def _finite(name: str, value: float) -> float:
-    """value as a float; ValueError naming the field unless it is finite."""
-    value = float(value)
+    """value as a float, a zero as +0.0 so that equal inputs store identical
+    bits; ValueError naming the field unless it is finite."""
+    value = float(value) + 0.0
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -39,8 +40,8 @@ def _count(name: str, value) -> int:
 
 
 def _canonical_phase(phi: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    out = math.fmod(float(phi), TWO_PI)
+    """Reduce an angle to [0, 2*pi), a zero as +0.0."""
+    out = math.fmod(float(phi), TWO_PI) + 0.0
     if out < 0.0:
         out += TWO_PI
     return out
@@ -143,10 +144,13 @@ class AmplifierParams:
         For symmetric losses gamma1 = gamma2 = gamma this is the textbook
         comparison of 2g against gamma; the general criterion 4g^2 vs
         gamma1*gamma2 reduces to it and matches the sign of the growing
-        exponent of the drift coefficients.
+        exponent of the drift coefficients.  The comparison is exact, so no
+        finite input overflows it.
         """
-        lhs = 4.0 * self.g**2
-        rhs = self.gamma1 * self.gamma2
+        from fractions import Fraction  # imported here, so `import catamp` loads no decimal
+
+        lhs = 4 * Fraction(self.g) ** 2
+        rhs = Fraction(self.gamma1) * Fraction(self.gamma2)
         if lhs > rhs:
             return Regime.UNDERDAMPED
         if lhs < rhs:

@@ -255,11 +255,11 @@ def factorial_moments(
         raise ValueError(f"k must be <= {MAX_FACTORIAL_ORDER}")
     if scope not in ("compound", "single"):
         raise ValueError("scope must be 'compound' or 'single'")
+    ev = evolve_terms(system, t)
+    quantities = generating_quantities(ev, None if scope == "compound" else mode)
     if k == 0:
         return 1.0, 0.0
-    ev = evolve_terms(system, t)
-    moments = _factorial_moments(
-        ev, generating_quantities(ev, None if scope == "compound" else mode), k)
+    moments = _factorial_moments(ev, quantities, k)
     wk, w1 = moments[k], moments[1]
     if k == 1:
         return wk, 0.0

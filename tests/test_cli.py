@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from catamp import coeffs
 from catamp.cli import (
     _CSV_BLOCK,
     ConfigError,
@@ -422,6 +424,65 @@ class TestOtherCommands:
         cfg = load_config(path)
         assert cfg.observable == "Q1"
         assert cfg.cat1.amp_mag == 1.0
+
+
+SMALL_GRID = {"x_min": -4, "x_max": 4, "y_min": -4, "y_max": 4, "nx": 21, "ny": 21}
+
+
+class TestOneRecordPerPoint:
+    # validating time or a scan point builds the record the command then reads
+    @pytest.mark.parametrize("command, extra, builds", [
+        ("wigner", {"grid": SMALL_GRID}, 1),
+        ("pnd", {"n_max": 40}, 1),
+        ("squeeze", {}, 1),
+        ("scan", {"observable": "S", "scan": {"parameter": "t", "values": [0.1, 0.2, 0.4, 0.5]}},
+         4 + 1),
+    ], ids=["wigner", "pnd", "squeeze", "scan"])
+    def test_coeffs_at_runs_once_per_point(self, tmp_path, monkeypatch, command, extra, builds):
+        calls = []
+        original = coeffs.coeffs_at
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("catamp")]:
+            if getattr(module, "coeffs_at", None) is original:
+                monkeypatch.setattr(module, "coeffs_at", counted)
+        cfg = write_config(tmp_path, dict(extra, out=str(tmp_path / "out.csv")))
+        coeffs._evolve.cache_clear()  # an earlier test may have left this record
+        assert main([command, "--config", cfg]) == 0
+        assert len(calls) == builds
+
+
+class TestCommandOrder:
+    def test_outputs_do_not_depend_on_the_order(self, tmp_path, monkeypatch):
+        # the scan ends on the record of t = -0.0; the next command starts at
+        # t = 0.0 with the same system (wigner, forward) or another (squeeze,
+        # reverse)
+        damped = dict(BASE_CONFIG["params"], gamma1=0.3, gamma2=0.3, nbar1=0.1, nbar2=0.1)
+        configs = {
+            "pnd": {"n_max": 60, "params": damped},
+            "squeeze": {"cat2": {"kind": "odd", "amp_mag": 0.7}, "time": 0.0},
+            "scan": {"observable": "S", "scan": {"parameter": "t",
+                                                 "values": [0.55, 0.15, 0.3, -0.0]}},
+            "wigner": {"mode": 2, "time": 0.0, "grid": SMALL_GRID},
+        }
+        commands = [["figure", "6", "--out", "figure6.csv"],
+                    *([name, "--config", f"{name}.json"] for name in configs)]
+        outputs = {}
+        for order, sequence in (("forward", commands), ("reverse", commands[::-1])):
+            run_dir = tmp_path / order
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)  # relative out paths, so the sidecars match too
+            for name, extra in configs.items():
+                config = dict(BASE_CONFIG, **extra, out=f"{name}.csv")
+                (run_dir / f"{name}.json").write_text(json.dumps(config))
+            for argv in sequence:
+                assert main(argv) == 0, argv
+            outputs[order] = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        assert len(outputs["forward"]) == 2 * len(commands) + len(configs)
+        assert outputs["forward"] == outputs["reverse"]
 
 
 def row_by_row_csv(path, header, columns):

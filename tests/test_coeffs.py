@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -298,10 +299,11 @@ class TestNonFiniteTime:
         lambda s, t: ca.two_mode_squeezing(s, t),
         lambda s, t: ca.sum_pnd(s, t),
         lambda s, t: ca.wigner_grid(s, t),
+        lambda s, t: ca.factorial_moments(s, t, 0),
         lambda s, t: amplitudes(s.params, t),
         lambda s, t: noise(s.params, t),
-    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid", "dyn_coeffs",
-            "noise_coeffs"])
+    ], ids=["moment", "two_mode_squeezing", "sum_pnd", "wigner_grid", "factorial_moments_k0",
+            "dyn_coeffs", "noise_coeffs"])
     def test_observables_name_t(self, observable, t):
         system = make_system("even", 1.0, "odd", 0.5)
         with pytest.raises(ValueError, match="t must be finite"):
@@ -328,9 +330,12 @@ class TestFloatRange:
 
     def test_observables_refuse_it(self):
         system = make_system("even", 1.0, "odd", 0.7)
-        for observable in (ca.two_mode_squeezing, ca.sum_pnd, ca.wigner_grid):
+        k0 = functools.partial(ca.factorial_moments, k=0)
+        for observable in (ca.two_mode_squeezing, ca.sum_pnd, ca.wigner_grid, k0):
             with pytest.raises(ValueError, match="beyond float range"):
                 observable(system, 354.0)
+        with pytest.raises(ValueError, match="beyond float range"):
+            k0(system, 1e9)
 
     def test_last_values_before_the_frontier(self):
         # lossless B1N = sinh^2(g t)
@@ -384,6 +389,7 @@ class TestOneEvaluationPerCall:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         system = make_system("even", 1.1, "odd", 0.7, gamma=0.3, nbar=0.2)
+        ca.coeffs._evolve.cache_clear()  # an earlier test may have left this record
         observable(system, 0.4)
         assert calls == {"enumerate_terms": 1, "coeffs_at": 1}
 
@@ -412,37 +418,61 @@ def observable_bits(system, t):
     return [repr(values)] + [a.tobytes() for a in arrays]
 
 
+def fresh_bits(system, t):
+    """record_bits of a record built now, never served from the cache."""
+    return record_bits(ca.coeffs._evolve.__wrapped__(system, t))
+
+
+def builds(calls):
+    """How many records evolve_terms builds for the (system, t) calls, from an
+    empty cache; the records are returned too."""
+    ca.coeffs._evolve.cache_clear()
+    records = [ca.evolve_terms(system, t) for system, t in calls]
+    return ca.coeffs._evolve.cache_info().misses, records
+
+
 class TestEvolveMemo:
-    # evolve_terms hands the last record out again for the same System object
-    # and the same t object; anything else is a fresh build
+    # evolve_terms hands the last record out again while an equal (system, t)
+    # comes back; equal keys build identical bits, so no output depends on
+    # which of them built the record
     def test_same_system_and_t_return_the_same_record(self):
         system = make_system("even", 1.1, "odd", 0.7, gamma=0.3, nbar=0.2)
         t = 0.4
         assert ca.evolve_terms(system, t) is ca.evolve_terms(system, t)
 
-    def test_equal_but_distinct_system_is_a_fresh_build(self):
+    def test_equal_but_distinct_system_shares_the_record(self):
         system = make_system("even", 1.1, "odd", 0.7, gamma=0.3, nbar=0.2)
         twin = dataclasses.replace(system)
         assert twin == system and twin is not system
-        ev = ca.evolve_terms(system, 0.4)
-        ev_twin = ca.evolve_terms(twin, 0.4)
-        assert ev_twin is not ev
-        assert record_bits(ev_twin) == record_bits(ev)
+        n, (ev, ev_twin) = builds([(system, 0.4), (twin, 0.4)])
+        assert n == 1 and ev_twin is ev
+        assert record_bits(ev) == fresh_bits(twin, 0.4)
 
-    def test_signed_zeros_are_distinct_keys(self):
+    def test_t_types_share_the_record(self):
         system = make_system("yss", 0.9, "even", 1.2, gamma=0.5, nbar=0.1, pump=0.8)
+        n, records = builds([(system, t) for t in (0.35, np.float64(0.35), np.array(0.35))])
+        assert n == 1 and all(ev is records[0] for ev in records)
+        assert record_bits(records[0]) == fresh_bits(system, 0.35)
+
+    def test_signed_zeros_share_one_record(self):
+        # a -0.0 in t builds other bits than 0.0 (the sign reaches f2), so t
+        # is read and every System field stored with a zero as +0.0
+        system = make_system("yss", 0.9, "even", 1.2, gamma=0.5, nbar=0.1, pump=0.8)
+        assert fresh_bits(system, -0.0) != fresh_bits(system, 0.0)
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            ca.evolve_terms(system, first)
-            assert record_bits(ca.evolve_terms(system, second)) == record_bits(
-                ca.coeffs._evolve(system, second))
-        # equal System objects whose amplitude phases differ only in the sign of zero
-        plus, minus = (dataclasses.replace(system, cat1=ca.CatSpec(1.3, phase, math.pi))
-                       for phase in (0.0, -0.0))
-        assert plus == minus
-        for first, second in ((plus, minus), (minus, plus)):
-            ca.evolve_terms(first, 0.3)
-            assert record_bits(ca.evolve_terms(second, 0.3)) == record_bits(
-                ca.coeffs._evolve(second, 0.3))
+            n, (_, ev) = builds([(system, first), (system, second)])
+            assert n == 1 and record_bits(ev) == fresh_bits(system, 0.0)
+        # equal System objects whose amplitude phase or gain is 0.0 and -0.0
+        zeros = (0.0, -0.0)
+        pairs = {"amp_phase": [dataclasses.replace(system, cat1=ca.CatSpec(1.3, z, math.pi))
+                               for z in zeros],
+                 "g": [dataclasses.replace(system, params=ca.AmplifierParams(z, 0.8, 0.5))
+                       for z in zeros]}
+        for field, (plus, minus) in pairs.items():
+            assert plus == minus, field
+            for first, second in ((plus, minus), (minus, plus)):
+                n, (_, ev) = builds([(first, 0.3), (second, 0.3)])
+                assert n == 1 and record_bits(ev) == fresh_bits(plus, 0.3), field
 
     def test_interleaved_systems_match_fresh_builds(self, monkeypatch):
         a = make_system("even", 1.1, "yss", 0.8, psi1=0.3, gamma=0.4, nbar=0.2, pump=0.7)
@@ -450,14 +480,14 @@ class TestEvolveMemo:
         t = 0.45
         with monkeypatch.context() as patch:
             for module in (ca.charfn, ca.photon_stats, ca.wigner):
-                patch.setattr(module, "evolve_terms", ca.coeffs._evolve)
+                patch.setattr(module, "evolve_terms", ca.coeffs._evolve.__wrapped__)
             fresh = {id(s): observable_bits(s, t) for s in (a, b)}
         for system in (a, b, a):
             assert observable_bits(system, t) == fresh[id(system)]
 
     def test_threads_sharing_the_memo_read_their_own_records(self):
-        # the memo is one tuple read once and replaced whole, so a thread
-        # never gets another thread's record, even when switching every 1 us
+        # the cache is keyed by value, so a thread never gets another
+        # thread's record, even when switching every 1 us
         systems = [make_system("even", 0.5 + 0.2 * i, "odd", 0.7, gamma=0.1 * i, nbar=0.2)
                    for i in range(6)]
         t = 0.35
@@ -488,14 +518,14 @@ class TestEvolveMemo:
             with pytest.raises(ValueError):
                 getattr(ev, name)[0] = 0.0
 
-    def test_a_mutable_t_is_never_served_from_the_memo(self):
+    def test_a_0d_array_t_is_read_by_value(self):
         # a 0-d array is the same object after its value changes
         system = make_system("even", 1.0, "odd", 0.5)
         t = np.array(0.3)
         assert ca.moment(1, 1, 0, 0, system, t) == ca.moment(1, 1, 0, 0, system, 0.3)
         t[...] = 0.6
         assert ca.moment(1, 1, 0, 0, system, t) == ca.moment(1, 1, 0, 0, system, 0.6)
-        assert ca.evolve_terms(system, t) is not ca.evolve_terms(system, t)
+        assert ca.evolve_terms(system, t) is ca.evolve_terms(system, 0.6)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_failed_build_leaves_the_memo_alone(self, bad):

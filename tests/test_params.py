@@ -77,6 +77,13 @@ class TestRegime:
         assert over.regime() is ca.Regime.OVERDAMPED
         assert crit.regime() is ca.Regime.CRITICAL
 
+    def test_beyond_float_range_squares(self):
+        # 4 g^2 and gamma1*gamma2 leave float range here; the comparison is exact
+        huge_g = ca.AmplifierParams(g=1e160)
+        assert huge_g.regime() is ca.Regime.UNDERDAMPED
+        lossy = ca.AmplifierParams(g=1e160, gamma1=1e200, gamma2=1e200)
+        assert lossy.regime() is ca.Regime.OVERDAMPED
+
     def test_exhaustive_and_exclusive(self, rng):
         for _ in range(100):
             g = float(rng.uniform(0.0, 2.0))

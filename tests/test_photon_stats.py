@@ -118,6 +118,14 @@ class TestLaguerre:
                 with pytest.raises(ValueError, match="k must be an integer >= 0"):
                     ca.factorial_moments(system, 0.3, k, scope=scope)
 
+    def test_invalid_mode(self):
+        # k = 0 too reads the chosen mode before it answers
+        system = make_system("even", 1.0, "odd", 0.8)
+        for k in (0, 2):
+            for mode in (0, 7):
+                with pytest.raises(ValueError, match="mode must be 1 or 2"):
+                    ca.factorial_moments(system, 0.3, k, scope="single", mode=mode)
+
 
 def random_system(rng):
     return ca.System(random_cat(rng), random_cat(rng),
@@ -320,7 +328,7 @@ class TestSumPnd:
                     ca.single_pnd(mode, system, 0.3, n_max=n_max)
         assert ca.sum_pnd(system, 0.3, n_max=np.int64(40)).n_max == 40
 
-    def test_exhausted_growth_returns_the_last_truncation(self, monkeypatch):
+    def test_capped_automatic_truncation_returns_its_n_max(self, monkeypatch):
         # when the automatic truncation stops at the cap short of the tail
         # target, the returned n_max is the one the probabilities were computed at
         monkeypatch.setattr(photon_stats, "_AUTO_N_MAX_CAP", 5)
