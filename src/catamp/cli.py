@@ -221,6 +221,25 @@ def _text_cells(c: np.ndarray) -> np.ndarray:
     return text.view(np.uint8).reshape(len(c), -1)
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an int64 array and the row of each key among them.
+
+    One np.sort of hash·2³² + position brings equal keys together with their
+    positions; a hash collision can only split a value over two rows."""
+    n = len(keys)
+    order = (keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFF << 32)
+    order |= np.arange(n, dtype=np.uint64)
+    order.sort()
+    order = (order & np.uint64(0xFFFFFFFF)).astype(np.intp)
+    sorted_keys = keys[order]
+    new = np.empty(n, bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    rows = np.empty(n, np.intp)
+    rows[order] = np.cumsum(new) - 1
+    return sorted_keys[new], rows
+
+
 def _block_rows(block: list[np.ndarray]) -> np.ndarray:
     """The block's CSV rows, CRLF included, as a NUL-padded uint8 matrix.
 
@@ -232,7 +251,7 @@ def _block_rows(block: list[np.ndarray]) -> np.ndarray:
     tables, index = [], []
     floats = [c.view(np.int64) for c in block if c.dtype == np.float64]
     if floats:
-        bits, inverse = np.unique(np.concatenate(floats), return_inverse=True)
+        bits, inverse = _distinct(np.concatenate(floats))
         tables.append(g17_cells(bits.view(np.float64)))
         float_index = iter(inverse.reshape(len(floats), n))
     for c in block:
@@ -248,7 +267,8 @@ def _block_rows(block: list[np.ndarray]) -> np.ndarray:
         row += len(t)
     cells[:, -2] = ord(",")
     rows = np.take(cells, np.stack(index, axis=1), axis=0).reshape(n, -1)
-    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # the last cell's comma and its NUL
+    # the last cell's comma and its NUL, as one 2-byte item per row
+    rows[:, -2:].view(np.uint16)[:] = np.frombuffer(b"\r\n", np.uint16)
     return rows
 
 

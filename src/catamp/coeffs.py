@@ -83,10 +83,17 @@ def _coeffs(params: AmplifierParams, t: float) -> EvolvedCoeffs:
     omega = math.sqrt(params.eps) / 4.0
 
     x = omega * t
-    decay = math.exp(-sigma * t)
-    shc = math.sinh(x) / x if x else 1.0  # x = 0 is the removable singularity
-    f1 = decay * (math.cosh(x) + (g2 - g1) * (t / 4.0) * shc)
-    f3 = decay * (math.cosh(x) + (g1 - g2) * (t / 4.0) * shc)
+    if x > 700.0:
+        # cosh x overflows from x = 710.48 while e^{-sigma t} cosh x need not:
+        # fold the decay into the two exponentials, e^{(omega - sigma)t} and
+        # e^{-(omega + sigma)t}
+        grow, fall = math.exp((omega - sigma) * t), math.exp(-(omega + sigma) * t)
+        decay, cosh, shc = 1.0, 0.5 * (grow + fall), (grow - fall) / (2.0 * x)
+    else:
+        decay, cosh = math.exp(-sigma * t), math.cosh(x)
+        shc = math.sinh(x) / x if x else 1.0  # x = 0 is the removable singularity
+    f1 = decay * (cosh + (g2 - g1) * (t / 4.0) * shc)
+    f3 = decay * (cosh + (g1 - g2) * (t / 4.0) * shc)
     f2 = 1j * g * t * phasor * decay * shc
 
     # R = H/omega = [[r, k], [k*, -r]] with |k| = u = g/omega; R = 0 where H = 0

@@ -7,6 +7,7 @@ the gain g.  Every type here is an immutable value object and safe to share.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -165,3 +166,12 @@ class System:
     cat1: CatSpec
     cat2: CatSpec
     params: AmplifierParams
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.cat1, self.cat2, self.params))
+
+    def __hash__(self) -> int:
+        # the generated hash, kept: the record cache in coeffs hashes its key on
+        # every lookup, and the generated one walks all nine floats each time
+        return self._hash

@@ -1,11 +1,12 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from catamp import coeffs
+from catamp import _g17, coeffs
 from catamp.cli import (
     _CSV_BLOCK,
     ConfigError,
@@ -550,3 +551,44 @@ class TestWriteCsv:
         write_csv(str(tmp_path / "new.csv"), ["v"], [column])
         row_by_row_csv(str(tmp_path / "ref.csv"), ["v"], [column])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @staticmethod
+    def assert_matches_row_by_row_writer(tmp_path, column):
+        column = np.concatenate([column, np.nextafter(column, -np.inf), np.nextafter(column, np.inf)])
+        column = np.concatenate([column, -column])
+        write_csv(str(tmp_path / "new.csv"), ["v"], [column])
+        row_by_row_csv(str(tmp_path / "ref.csv"), ["v"], [column])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_powers_of_two_match_row_by_row_writer(self, tmp_path):
+        # every binade's first value, the subnormals' included, and its
+        # 1-ulp neighbours, of both signs
+        self.assert_matches_row_by_row_writer(tmp_path, np.ldexp(1.0, np.arange(-1074, 1024)))
+
+    def test_exact_ties_match_row_by_row_writer(self, tmp_path):
+        # v = m / 2**(17 - E) with m odd scales to y = m * 5**(16 - E) / 2, an
+        # exact tie on the 17th digit wherever y is in [1e16, 1e17) and m
+        # below 2**53; decades E = -8..15 hold such v
+        ties = []
+        for E in range(-8, 16):
+            five = 5 ** (16 - E)
+            low, high = -(-2 * 10 ** 16 // five), min(-(-2 * 10 ** 17 // five), 2 ** 53)
+            odd = [m for m in (low, low + 1, (low + high) // 2, (low + high) // 2 + 1,
+                               high - 2, high - 1) if m % 2 and low <= m < high]
+            assert odd, E
+            for m in odd:
+                v = m / 2.0 ** (17 - E)
+                y = Fraction(v) * Fraction(10) ** (16 - E)
+                assert y.denominator == 2 and 10 ** 16 <= y < 10 ** 17, (E, m)
+                ties.append(v)
+        self.assert_matches_row_by_row_writer(tmp_path, np.array(ties))
+
+    @pytest.mark.parametrize("fig_id", ["1a", "1b", "1c", "2a", "2b"])
+    def test_figure_grids_rarely_fall_back_to_python(self, fig_id):
+        # Python formats only the zeros and the near-ties: 2 or 3 of a grid's
+        # 40 803 x, y and W values
+        _, (x, y, w), _ = cmd_figure(fig_id)
+        values = np.concatenate([np.unique(x), np.unique(y), w])
+        assert len(values) == 201 + 201 + 201 * 201
+        slow = _g17._decimal(values)[2]
+        assert slow.sum() <= 1e-3 * len(values)

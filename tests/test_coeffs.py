@@ -320,10 +320,10 @@ class TestFloatRange:
         (ca.AmplifierParams(g=1.0), 352.0),
         (ca.AmplifierParams(g=1.0), 354.0),
         (ca.AmplifierParams(g=1.0), 355.0),
-        (_OVERDAMPED, 720.0),
+        (ca.AmplifierParams(g=1.0, gamma1=1.9, gamma2=1.9, nbar1=0.5, nbar2=0.5), 2e4),
         (ca.AmplifierParams(g=1e160), 0.1),
     ], ids=["lossless_nan", "lossless_nan_354", "lossless_expm1_overflow",
-            "overdamped_cosh_overflow", "huge_g"])
+            "underdamped_growth_overflow", "huge_g"])
     def test_refused_naming_t(self, params, t):
         with pytest.raises(ValueError, match=f"t = {t} puts a coefficient beyond float range"):
             ca.coeffs_at(params, t)
@@ -345,6 +345,42 @@ class TestFloatRange:
         late, steady = ca.coeffs_at(_OVERDAMPED, 700.0), ca.coeffs_at(_OVERDAMPED, 50.0)
         assert (late.B1N, late.D) == pytest.approx((steady.B1N, steady.D), rel=1e-14)
         assert late.B1N == pytest.approx(0.690476, abs=1e-6)
+
+    @pytest.mark.parametrize("params", [
+        _OVERDAMPED,
+        ca.AmplifierParams(g=0.7, pump_phase=0.9, gamma1=3.0, gamma2=4.5, nbar1=0.2, nbar2=0.9),
+    ], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("t", [720.0, 1e4])
+    def test_overdamped_steady_state_past_cosh_overflow(self, params, t):
+        # past omega*t = 710.48, where cosh overflows, the coefficients still
+        # come out: the noise at its steady state X, the solution of
+        # M X + X M^+ + Q = 0, within 1 ulp of a 40-digit solve
+        sigma, delta = (params.gamma1 + params.gamma2) / 4.0, (params.gamma2 - params.gamma1) / 4.0
+        kappa = 1j * params.g * cmath.exp(1j * params.pump_phase)
+        with mpmath.workdps(40):
+            m = mpmath.matrix([[-sigma + delta, kappa], [kappa.conjugate(), -sigma - delta]])
+            q = mpmath.matrix([[params.gamma1 * params.nbar1, kappa],
+                               [kappa.conjugate(), params.gamma2 * params.nbar2]])
+            eye = mpmath.eye(2)
+            # vec(M X + X M^+) = (I (x) M + conj(M) (x) I) vec(X), vec by columns
+            lyapunov = mpmath.matrix(4, 4)
+            for i, j, k, l in np.ndindex(2, 2, 2, 2):
+                lyapunov[2 * j + i, 2 * l + k] = (eye[j, l] * m[i, k]
+                                                  + mpmath.conj(m[j, l]) * eye[i, k])
+            x = mpmath.lu_solve(lyapunov, -mpmath.matrix([q[0, 0], q[1, 0], q[0, 1], q[1, 1]]))
+            x11, x22, d = float(mpmath.re(x[0])), float(mpmath.re(x[3])), complex(mpmath.conj(x[2]))
+        c = ca.coeffs_at(params, t)
+        assert (c.f1, c.f2, c.f3) == (0.0, 0.0, 0.0)
+        assert abs(c.B1N - x11) <= np.spacing(x11) and abs(c.B2N - x22) <= np.spacing(x22)
+        assert c.D == pytest.approx(d, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [700.5, 705.0, 709.0])
+    def test_critical_amplitudes_agree_across_the_switch(self, t):
+        # from omega*t = 700 the decay is folded into two exponentials; where
+        # cosh still fits both forms agree (critical, g = 1: sigma = omega = 1)
+        c = ca.coeffs_at(ca.AmplifierParams(g=1.0, gamma1=2.0, gamma2=2.0, nbar1=0.5, nbar2=0.5), t)
+        assert c.f1 == pytest.approx(math.exp(-t) * math.cosh(t), rel=1e-13)
+        assert c.f2 == pytest.approx(1j * t * math.exp(-t) * math.sinh(t) / t, rel=1e-13)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -447,6 +483,23 @@ class TestEvolveMemo:
         n, (ev, ev_twin) = builds([(system, 0.4), (twin, 0.4)])
         assert n == 1 and ev_twin is ev
         assert record_bits(ev) == fresh_bits(twin, 0.4)
+
+    def test_a_twin_built_field_by_field_hashes_equal(self):
+        # a System keeps its first hash: a twin built anew from the same field
+        # values computes its own, equal to it and to the generated tuple hash,
+        # and dataclasses.replace builds an object with a hash of its own
+        system = make_system("yss", 0.9, "even", 1.2, gamma=0.5, nbar=0.1, pump=0.8)
+        first = hash(system)
+        twin = ca.System(ca.CatSpec(**dataclasses.asdict(system.cat1)),
+                         ca.CatSpec(**dataclasses.asdict(system.cat2)),
+                         ca.AmplifierParams(**dataclasses.asdict(system.params)))
+        moved = dataclasses.replace(system, params=ca.AmplifierParams(1.3, 0.8, 0.5))
+        assert twin == system and twin is not system
+        assert hash(twin) == first == hash(system) == hash((system.cat1, system.cat2, system.params))
+        assert hash(moved) == hash((moved.cat1, moved.cat2, moved.params)) != first
+        n, (ev, ev_twin, ev_moved) = builds([(system, 0.4), (twin, 0.4), (moved, 0.4)])
+        assert n == 2 and ev_twin is ev and ev_moved is not ev
+        assert record_bits(ev_moved) == fresh_bits(moved, 0.4)
 
     def test_t_types_share_the_record(self):
         system = make_system("yss", 0.9, "even", 1.2, gamma=0.5, nbar=0.1, pump=0.8)
