@@ -1,7 +1,8 @@
 """The exact text of ``"%.17g" % v`` for a float64 array, built in numpy passes.
 
-``g17_cells(values)`` returns one row of ``WIDTH`` ASCII bytes per value, the
-text left-packed and padded with NUL bytes, and the length of each text.
+``g17_cells(values)`` returns one row of ``WIDTH`` bytes per value that holds
+its text in order, with NUL bytes before, between and after the parts, so
+``bytes.translate(None, b"\\0")`` of the rows gives the text.
 
 Each finite nonzero |v| = f·2^e is scaled to y = |v|·10^(16−E), E = ⌊log10 |v|⌋,
 with a double-double table of powers of ten and Dekker's exact product, to about
@@ -12,10 +13,12 @@ because log10 misjudged E, or the rounding carries to 10¹⁷; so do zeros,
 infinities and NaNs. log10 only estimates E, so its last bit cannot change the
 output.
 
-The text is laid out on three little-endian uint64 words per value, 8 ASCII
-bytes each: the digits from a table of 4-digit groups, trailing zeros cut and
-the point inserted with masks and one-byte shifts, then the sign and "0.000"
-prefix and the "e±dd" exponent shifted into place.
+The text is laid out on three little-endian uint64 words per value, 8 bytes
+each, with few passes: the digits, with a "0" put in at the point's column by
+integer arithmetic, become ASCII through a table of 4-digit groups; one byte
+mask cuts the trailing zeros (and the point, when no digit follows it); and
+the body is shifted past the sign's byte and any "0.000" prefix, with the
+"e±dd" exponent at fixed bytes after it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ _E_MAX = 330  # per-exponent tables cover E = −_E_MAX…_E_MAX
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
 _TIE_MARGIN = 1e-6  # far above the ~1e-14 error of y < 10**17
 _FIXED = range(-4, 17)  # %g writes E in this range in fixed notation, else e±XX
-_WORD = np.uint64(64)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +74,7 @@ def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f, e = np.frexp(mag)
 
     k = 16 - _K_MIN - E
-    hi, hi_hi, hi_lo, lo, b = (np.take(a, k) for a in _powers_of_ten())
+    hi, hi_hi, hi_lo, lo, b = (a[k] for a in _powers_of_ten())
     p = f * hi  # f·(hi + lo) = p + q, Dekker's two-product for f·hi
     f_hi, f_lo = _split(f)
     q = ((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo + f * lo
@@ -119,8 +121,8 @@ def _tables() -> tuple:
     last = np.where(ones > 0, 2, np.where(tens > 0, 1, 0))  # digits up to the last nonzero
     groups = (pairs[:, None] | (pairs << np.uint64(16))).ravel()  # 100·i + k: pair i, then k
     count = np.where(last > 0, 2 + last, last[:, None]).ravel()
-    ends = np.array([np.where(count > 0, 4 * j + count, 0) for j in range(4)])
-    pair_ends = np.where(last > 0, 16 + last, 0)
+    ends = np.array([np.where(count > 0, 4 * j + count, 0) for j in range(4)], np.int8)
+    pair_ends = np.where(last > 0, 16 + last, 0).astype(np.int8)
     low = _words([b"\xff" * k for k in range(WIDTH + 1)]).T.copy()
 
     E = np.arange(-_E_MAX, _E_MAX + 1).tolist()
@@ -130,7 +132,7 @@ def _tables() -> tuple:
     head = _words([b"\0" + b"0.000"[:1 - e] if s else
                    b"\0" * 19 + (b"" if e in _FIXED else b"e%+03d" % e) for s, e in zip(small, E)])
     return (groups, ends, pairs, pair_ends, low, np.array([10 ** (17 - p) for p in point]), dot,
-            np.array([e + 1 if e in _FIXED and e >= 0 else 0 for e in E]),
+            np.array([e + 1 if e in _FIXED and e >= 0 else 0 for e in E], np.int8),
             np.array([48 if s else 8 for s in small], np.uint64), head[:, 0], head[:, 2])
 
 
@@ -146,22 +148,22 @@ def g17_cells(values: np.ndarray) -> np.ndarray:
     row = E + _E_MAX
     p = scale[row]
     D += D // p * (9 * p)
-    h = D // 10 ** 10
-    m = D // 100 - h * 10 ** 8
-    pair = D - D // 100 * 100
+    h, hundreds = D // 10 ** 10, D // 100
+    m = hundreds - h * 10 ** 8
+    pair = D - hundreds * 100
     a = h // 10 ** 4
     b = h - a * 10 ** 4
     c = m // 10 ** 4
     d = m - c * 10 ** 4
     kept = np.maximum(np.maximum(ends[0][a], ends[1][b]), np.maximum(ends[2][c], ends[3][d]))
-    kept = np.maximum(np.maximum(kept, pair_ends[pair]), whole[row])
+    kept = np.maximum(np.maximum(kept, pair_ends[pair]), whole[row]).astype(np.intp)
     digits = (groups[a] | (groups[b] << np.uint64(32)), groups[c] | (groups[d] << np.uint64(32)),
               pairs[pair])
     body = [(digits[j] - dot[j][row]) & low[j][kept] for j in range(3)]
 
     # the sign at byte 0, then the prefix, the body and the exponent
     by = shift[row]
-    back = _WORD - by
+    back = np.uint64(64) - by
     out = np.empty((len(values), 3), "<u8")
     out[:, 0] = head[row] | (body[0] << by) | (np.signbit(values) * np.uint64(ord("-")))
     out[:, 1] = (body[1] << by) | (body[0] >> back)

@@ -222,10 +222,11 @@ def _text_cells(c: np.ndarray) -> np.ndarray:
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of an int64 array and the row of each key among them.
+    """The distinct values of an int64 array (of fewer than 2³² keys) and the row
+    of each key among them.
 
     One np.sort of hash·2³² + position brings equal keys together with their
-    positions; a hash collision can only split a value over two rows."""
+    positions; keys whose hashes collide can give one value more than one row."""
     n = len(keys)
     order = (keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFF << 32)
     order |= np.arange(n, dtype=np.uint64)

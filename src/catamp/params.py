@@ -172,6 +172,6 @@ class System:
         return hash((self.cat1, self.cat2, self.params))
 
     def __hash__(self) -> int:
-        # the generated hash, kept: the record cache in coeffs hashes its key on
-        # every lookup, and the generated one walks all nine floats each time
+        # the dataclass hash of the fields, computed once: the record cache in
+        # coeffs hashes its key on every lookup
         return self._hash
