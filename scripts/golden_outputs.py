@@ -7,8 +7,9 @@ so the sidecars, which record the ``out`` path, compare across directories.
 It writes every figure (CSV and sidecar), figure 5 as JSON, a ``t`` x
 ``cat2.rel_phase`` scan of every scan observable, the ``pnd`` sum and
 single-mode distributions (the sum also as JSON, which pins each column's
-JSON type), the squeezing factors, the Wigner grid at the
-default and at a 61 x 51 mode-2 grid, and both ``oracle-check`` envelopes.
+JSON type), the squeezing factors, the Wigner grid at the default and at a
+61 x 51 mode-2 grid (that one also as JSON, which pins the expanded x and y
+columns), and both ``oracle-check`` envelopes.
 Every command runs under ``--strict``, so a numeric warning (a truncation
 tail or clipped Wigner support) fails the run, as does any nonzero exit.
 It then prints one ``sha256  name`` line per file in OUTDIR, so give it a new
@@ -43,6 +44,7 @@ BASE = {
 SCAN = {"parameter": "t", "values": [0.1, 0.35],
         "parameter2": "cat2.rel_phase", "values2": [0.0, 1.0, math.pi]}
 SCAN_GRID = {"x_min": -5, "x_max": 5, "y_min": -5, "y_max": 5, "nx": 41, "ny": 41}
+WIGNER_GRID = {"x_min": -6, "x_max": 6, "y_min": -5, "y_max": 5, "nx": 61, "ny": 51}
 
 
 def commands(configs: str) -> list[list[str]]:
@@ -62,9 +64,9 @@ def commands(configs: str) -> list[list[str]]:
              ["pnd", *config("pnd_single", observable="single", mode=2)],
              ["squeeze", *config("squeeze")],
              ["wigner", *config("wigner_default")],
-             ["wigner", *config("wigner_61x51_mode2", mode=2, cut_y=0.4,
-                                grid={"x_min": -6, "x_max": 6, "y_min": -5, "y_max": 5,
-                                      "nx": 61, "ny": 51})]]
+             ["wigner", *config("wigner_61x51_mode2", mode=2, cut_y=0.4, grid=WIGNER_GRID)],
+             ["wigner", *config("wigner_61x51_mode2_json", mode=2, cut_y=0.4, grid=WIGNER_GRID,
+                                format="json")]]
     runs += [["oracle-check", "--envelope", env, "--out", f"oracle_check_{env}.csv"]
              for env in ("small", "full")]
     return runs

@@ -214,74 +214,56 @@ _CSV_CONVERSIONS = {"i": "%d", "u": "%d", "O": "%s", "U": "%s"}
 _CSV_BLOCK = 4096
 
 
-def _text_cells(c: np.ndarray) -> np.ndarray:
+def _cells(c: np.ndarray) -> np.ndarray:
     """A column's cells by its %-format, UTF-8 encoded, as NUL-padded uint8 rows."""
+    if c.dtype == np.float64:
+        return g17_cells(c)
     conv = _CSV_CONVERSIONS.get(c.dtype.kind, "%.17g")
     text = np.array([(conv % v).encode() for v in c.tolist()], dtype=bytes)
     return text.view(np.uint8).reshape(len(c), -1)
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of an int64 array (of fewer than 2³² keys) and the row
-    of each key among them.
-
-    One np.sort of hash·2³² + position brings equal keys together with their
-    positions; keys whose hashes collide can give one value more than one row."""
-    n = len(keys)
-    order = (keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFF << 32)
-    order |= np.arange(n, dtype=np.uint64)
-    order.sort()
-    order = (order & np.uint64(0xFFFFFFFF)).astype(np.intp)
-    sorted_keys = keys[order]
-    new = np.empty(n, bool)
-    new[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    rows = np.empty(n, np.intp)
-    rows[order] = np.cumsum(new) - 1
-    return sorted_keys[new], rows
-
-
-def _block_rows(block: list[np.ndarray]) -> np.ndarray:
+def _block_rows(block: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
     """The block's CSV rows, CRLF included, as a NUL-padded uint8 matrix.
 
-    Every cell is a row of one table of cell texts, each followed by a comma: the
-    float64 columns share the rows of their distinct bit patterns (bits, not
-    values: -0.0 and 0.0 print differently), every other cell has a row of its own.
+    Each column is a (table, rows) pair: its cells are the rows of its table
+    of cell texts, or the whole table in order where rows is None. The tables
+    are stacked, each text followed by a comma, and one take lays out the block.
     """
-    n = len(block[0])
-    tables, index = [], []
-    floats = [c.view(np.int64) for c in block if c.dtype == np.float64]
-    if floats:
-        bits, inverse = _distinct(np.concatenate(floats))
-        tables.append(g17_cells(bits.view(np.float64)))
-        float_index = iter(inverse.reshape(len(floats), n))
-    for c in block:
-        if c.dtype == np.float64:
-            index.append(next(float_index))
-        else:
-            index.append(np.arange(n) + sum(map(len, tables)))
-            tables.append(_text_cells(c))
-    cells = np.zeros((sum(map(len, tables)), max(t.shape[1] for t in tables) + 2), np.uint8)
-    row = 0
-    for t in tables:
+    cells = np.zeros((sum(len(t) for t, _ in block), max(t.shape[1] for t, _ in block) + 2),
+                     np.uint8)
+    index, row = [], 0
+    for t, rows in block:
         cells[row:row + len(t), :t.shape[1]] = t
+        index.append(row + (np.arange(len(t)) if rows is None else rows))
         row += len(t)
     cells[:, -2] = ord(",")
-    rows = np.take(cells, np.stack(index, axis=1), axis=0).reshape(n, -1)
+    out = np.take(cells, np.stack(index, axis=1), axis=0).reshape(len(index[0]), -1)
     # the last cell's comma and its NUL, as one 2-byte item per row
-    rows[:, -2:].view(np.uint16)[:] = np.frombuffer(b"\r\n", np.uint16)
-    return rows
+    out[:, -2:].view(np.uint16)[:] = np.frombuffer(b"\r\n", np.uint16)
+    return out
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def _expanded(c) -> np.ndarray:
+    """A column as one array: a (values, rows) pair stands for values[rows]."""
+    return np.take(*c) if isinstance(c, tuple) else c
+
+
+def write_csv(path: str, header: list[str], columns: list) -> None:
     """Write the columns as CRLF rows, each cell formatted by its column's %-format.
 
-    Cells are assembled NUL-padded, so a NUL character in a text cell is dropped."""
-    rows = min((len(c) for c in columns), default=0)
+    A column is an array, or a pair (values, rows) that stands for values[rows]:
+    a pair's values are formatted once per file and each block takes their
+    texts by row. Cells are assembled NUL-padded, so a NUL character in a text
+    cell is dropped."""
+    tables = [_cells(c[0]) if isinstance(c, tuple) else None for c in columns]
+    n = min((len(c[1] if isinstance(c, tuple) else c) for c in columns), default=0)
     with open(path, "wb") as f:
         f.write((",".join(header) + "\r\n").encode())
-        for lo in range(0, rows, _CSV_BLOCK):
-            block = _block_rows([c[lo:min(lo + _CSV_BLOCK, rows)] for c in columns])
+        for lo in range(0, n, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, n)
+            block = _block_rows([(_cells(c[lo:hi]), None) if t is None else (t, c[1][lo:hi])
+                                 for t, c in zip(tables, columns)])
             f.write(block.tobytes().translate(None, b"\0"))
 
 
@@ -300,7 +282,8 @@ def _emit(out: str, fmt: str, header: list[str], columns: list, meta: dict) -> l
             side = (out[:-4] if out.endswith(".csv") else out) + ".meta.json"
             write_json(side, meta)
             return [out, side]
-        write_json(out, {**meta, "data": {h: c.tolist() for h, c in zip(header, columns)}})
+        write_json(out, {**meta, "data": {h: _expanded(c).tolist()
+                                          for h, c in zip(header, columns)}})
     except OSError as exc:
         raise ConfigError(f"out: {exc}") from None
     return [out]
@@ -325,7 +308,8 @@ def _wigner(system: System, t: float, spec: GridSpec | None, mode: int, cut_y: f
     """Columns x, y, w of one mode's Wigner grid, its features, cut and grid spec."""
     grid = wigner_grid(system, t, spec, mode=mode)
     xs, ws = wigner_cut(system, t, y=cut_y, mode=mode)
-    columns = [np.tile(grid.x, grid.spec.ny), np.repeat(grid.y, grid.spec.nx),
+    nx, ny = grid.spec.nx, grid.spec.ny
+    columns = [(grid.x, np.tile(np.arange(nx), ny)), (grid.y, np.repeat(np.arange(ny), nx)),
                grid.values.reshape(-1)]
     features = {
         "grid_min": float(grid.values.min()),

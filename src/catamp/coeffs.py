@@ -83,12 +83,12 @@ def _coeffs(params: AmplifierParams, t: float) -> EvolvedCoeffs:
     omega = math.sqrt(params.eps) / 4.0
 
     x = omega * t
-    if x > 700.0:
-        # cosh x overflows from x = 710.48 while e^{-sigma t} cosh x need not:
-        # fold the decay into the two exponentials, e^{(omega - sigma)t} and
-        # e^{-(omega + sigma)t}
-        grow, fall = math.exp((omega - sigma) * t), math.exp(-(omega + sigma) * t)
-        decay, cosh, shc = 1.0, 0.5 * (grow + fall), (grow - fall) / (2.0 * x)
+    if x > 700.0 or (x and sigma * t > 700.0):
+        # cosh x overflows from x = 710.48, and e^{-sigma t} underflows from
+        # sigma t = 745, while e^{-sigma t} cosh x need not: fold the decay into
+        # e^{(omega - sigma)t}, times (1 + e^{-2x})/2 and (1 - e^{-2x})/(2x)
+        grow, fold = math.exp((omega - sigma) * t), math.exp(-2.0 * x)
+        decay, cosh, shc = 1.0, 0.5 * grow * (1.0 + fold), grow * -math.expm1(-2.0 * x) / (2.0 * x)
     else:
         decay, cosh = math.exp(-sigma * t), math.cosh(x)
         shc = math.sinh(x) / x if x else 1.0  # x = 0 is the removable singularity

@@ -392,6 +392,18 @@ class TestOtherCommands:
         rows = (tmp_path / "w.csv").read_text().splitlines()
         assert len(rows) == 41 * 41 + 1
 
+    def test_wigner_json_expands_the_axes(self, tmp_path):
+        grid = {"x_min": -4, "x_max": 3, "y_min": -2, "y_max": 5, "nx": 8, "ny": 5}
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "w.json"), "format": "json",
+                                      "grid": grid})
+        assert main(["wigner", "--config", cfg]) == 0
+        data = json.loads((tmp_path / "w.json").read_text())["data"]
+        x, y = np.linspace(-4, 3, 8), np.linspace(-2, 5, 5)
+        assert data["x"] == np.tile(x, 5).tolist()
+        assert data["y"] == np.repeat(y, 8).tolist()
+        assert all(type(v) is float for column in data.values() for v in column)
+        assert len(data["w"]) == 8 * 5
+
     def test_oracle_check_small(self, tmp_path, capsys):
         # the comparison lattice is pointwise, so no boundary warning fires
         out = tmp_path / "oc.csv"
@@ -538,6 +550,30 @@ class TestWriteCsv:
         assert new == (tmp_path / "ref.csv").read_bytes()
         assert new.count(b"\r\n") == rows + 1
 
+    @pytest.mark.parametrize("rows", [0, 1, 7, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                      2 * _CSV_BLOCK + 3])
+    def test_value_row_pairs_match_expanded_columns(self, tmp_path, rows):
+        # a (values, rows) column writes the bytes of values[rows]; the signed
+        # zeros and nan payloads keep their own texts
+        rng = np.random.default_rng(rows)
+        nan_bits = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64)
+        hard = np.concatenate([HARD_FLOATS, nan_bits.view(np.float64)])
+        pairs = [
+            (hard, rng.integers(0, len(hard), rows)),
+            (hard, np.tile(np.arange(len(hard)), rows)[:rows]),
+            (hard, np.repeat(np.arange(len(hard)), rows)[:rows]),
+            (np.array([3, -7, 2**62]), rng.integers(0, 3, rows)),
+            (np.array(["a", "b,c"]), np.arange(rows) % 2),
+        ]
+        columns = [*pairs, rng.standard_normal(rows), np.arange(rows)]
+        header = [f"c{k}" for k in range(len(columns))]
+        write_csv(str(tmp_path / "pairs.csv"), header, columns)
+        write_csv(str(tmp_path / "expanded.csv"), header,
+                  [values[index] for values, index in pairs] + columns[len(pairs):])
+        new = (tmp_path / "pairs.csv").read_bytes()
+        assert new == (tmp_path / "expanded.csv").read_bytes()
+        assert new.count(b"\r\n") == rows + 1
+
     def test_random_bit_patterns_match_row_by_row_writer(self, tmp_path):
         rng = np.random.default_rng(18)
         bits = rng.integers(0, 2**64, 2**18, dtype=np.uint64)
@@ -587,8 +623,8 @@ class TestWriteCsv:
     def test_figure_grids_rarely_fall_back_to_python(self, fig_id):
         # Python formats only the zeros and the near-ties: 2 or 3 of a grid's
         # 40 803 x, y and W values
-        _, (x, y, w), _ = cmd_figure(fig_id)
-        values = np.concatenate([np.unique(x), np.unique(y), w])
+        _, ((x, _), (y, _), w), _ = cmd_figure(fig_id)
+        values = np.concatenate([x, y, w])
         assert len(values) == 201 + 201 + 201 * 201
         slow = _g17._decimal(values)[2]
         assert slow.sum() <= 1e-3 * len(values)

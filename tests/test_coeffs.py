@@ -383,6 +383,36 @@ class TestFloatRange:
         assert c.f2 == pytest.approx(1j * t * math.exp(-t) * math.sinh(t) / t, rel=1e-13)
 
 
+    # sigma = 1.5 > omega: e^{-sigma t} is subnormal from t = 472 and 0 from
+    # t = 497, while the amplitudes, about e^{-(sigma - omega)t}/2, are in range
+    _DECAY_UNDERFLOW = [
+        ca.AmplifierParams(g=1.0, pump_phase=0.4, gamma1=3.0, gamma2=3.0, nbar1=0.5, nbar2=0.5),
+        ca.AmplifierParams(g=1.0, pump_phase=0.4, gamma1=2.5, gamma2=3.5, nbar1=0.5, nbar2=0.2),
+    ]
+
+    @pytest.mark.parametrize("params", _DECAY_UNDERFLOW, ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("t", [600.0, 690.0, 700.0, 705.0])
+    def test_amplitudes_past_the_decay_underflow(self, params, t):
+        # from sigma*t = 700 the decay is folded into e^{(omega - sigma)t}
+        want = drift_exponential(params.g, params.pump_phase, params.gamma1, params.gamma2, t)
+        c = ca.coeffs_at(params, t)
+        for got, ref in zip((c.f1, c.f2, c.f3), want):
+            assert ref != 0.0 and abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("params", _DECAY_UNDERFLOW, ids=["symmetric", "asymmetric"])
+    def test_amplitudes_continuous_across_the_decay_switch(self, params):
+        # the last t of the unfolded form and the first of the folded one
+        sigma = (params.gamma1 + params.gamma2) / 4.0
+        t = 700.0 / sigma
+        while sigma * t > 700.0:
+            t = math.nextafter(t, 0.0)
+        while sigma * math.nextafter(t, math.inf) <= 700.0:
+            t = math.nextafter(t, math.inf)
+        before, after = ca.coeffs_at(params, t), ca.coeffs_at(params, math.nextafter(t, math.inf))
+        for a, b in ((before.f1, after.f1), (before.f2, after.f2), (before.f3, after.f3)):
+            assert a != 0.0 and abs(a - b) <= 1e-13 * abs(a)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(g=st.floats(0.0, 2.0), gamma1=st.floats(0.0, 8.0), gamma2=st.floats(0.0, 8.0),
        nbar1=st.floats(0.0, 2.0), nbar2=st.floats(0.0, 2.0),
