@@ -167,23 +167,24 @@ def _shifted_norm(diagonals: list[tuple[int, np.ndarray]], mu: float) -> float:
     return float(columns.max())
 
 
-def _apply(diagonals: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
-    """The product of the diagonal-stored matrix with v, into a new array.
+def _apply(diagonals: list[tuple[int, np.ndarray]], v: np.ndarray, out, tmp) -> np.ndarray:
+    """The product of the diagonal-stored matrix with v, written into out.
 
-    The rows go in blocks, so that a block of the result and its temporaries
-    stay in cache across the diagonals; every entry still sums its diagonals
-    in list order, so the block size does not change a bit.
+    The rows go in blocks, so that a block of out and of tmp (the products,
+    min(v.size, _ROW_BLOCK)) stay in cache across the diagonals; every entry
+    sums its diagonals in list order, so the block size changes no bit.
     """
     n = v.size
-    out = np.zeros_like(v)
     for start in range(0, n, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n)
+        out[start:stop] = 0.0
         for offset, coef in diagonals:
             # rows p with 0 <= p + offset < n, which hold coef[p + min(offset, 0)]
             lo, hi = max(start, -offset), min(stop, n - offset)
             if lo < hi:
                 first = lo + min(offset, 0)
-                out[lo:hi] += coef[first:first + hi - lo] * v[lo + offset:hi + offset]
+                out[lo:hi] += np.multiply(coef[first:first + hi - lo], v[lo + offset:hi + offset],
+                                          out=tmp[:hi - lo])
     return out
 
 
@@ -222,10 +223,11 @@ def evolve(state: FockState, params: AmplifierParams, t: float) -> FockState:
     del diagonals  # the loop holds one copy of the coefficients
     growth = math.exp(h * mu)
     vec = state.rho.astype(complex).reshape(-1)
+    spare, tmp = np.empty((2, vec.size), complex), np.empty(min(vec.size, _ROW_BLOCK), complex)
     for _ in range(steps):
         term, last = vec, _max_part(vec)
         for k in range(1, _TAYLOR_TERMS + 1):
-            term = _apply(scaled, term)
+            term = _apply(scaled, term, spare[k % 2], tmp)
             term *= 1.0 / k
             size = _max_part(term)
             vec += term

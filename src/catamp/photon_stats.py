@@ -10,16 +10,16 @@ and P(n) = N1^2 N2^2 Re sum_i p_i [s^n] G_i(s).  For the sum n1 + n2,
 Delta(u) = det(I + u Sigma): T = B1N + B2N, K = B1N B2N - |D|^2; one mode
 alone has T = B_jN and K = b = 0.  The distributions read every coefficient
 n <= n_max at once from samples of G on the roots of unity: one block pass
-over 16 rows (8 paired rows and their conjugates) per block of samples, class
-sums in row order, and one batched inverse FFT for all classes, at a 5-smooth
-length; the block width bounds the working set at any n_max.  The
-automatic n_max comes from a Chernoff bound on the tail, G(s) / s^(n_max + 1)
-over real s > 1, so one kernel call meets the tail target.  The factorial
-moments <W^k> are k! times the Taylor coefficients of G about s = 1, from
-one four-term recurrence; at K = b = 0 it is the Laguerre recurrence of
-T^m L_m(-a / T) in the standard convention (L_0 = 1, L_1 = 1 - x), whose
-factorials are folded into the series so that distributions are normalized
-and match the Fock-space reference.
+over the 8 paired rows (closed under the adjoint, class by class) per block of
+samples, class sums in row order, and one batched inverse FFT for all classes,
+at a 5-smooth length; the block width bounds the working set at any n_max.
+The automatic n_max comes from a Chernoff bound on the tail, G(s) /
+s^(n_max + 1) over real s > 1, so one kernel call meets the tail target.  The
+factorial moments <W^k> are k! times the Taylor coefficients of G about
+s = 1, from one four-term recurrence; at K = b = 0 it is the Laguerre
+recurrence of T^m L_m(-a / T) in the standard convention (L_0 = 1,
+L_1 = 1 - x), whose factorials are folded into the series so that
+distributions are normalized and match the Fock-space reference.
 
 Each distribution and factorial moment evolves the term table once
 (coeffs.evolve_terms) and reads that record.  Row 15 - i is row i with every
@@ -38,7 +38,7 @@ import numpy as np
 
 from .coeffs import EvolvedTerms, evolve_terms
 from .params import System, _count
-from .rho_terms import _KINDS, TermClass
+from .rho_terms import _ADJOINT, _KINDS, TermClass
 
 
 class TruncationWarning(UserWarning):
@@ -104,16 +104,15 @@ def _real_coefficients(t_coef: float, k_coef: float, p, a, b, ends, n_max: int) 
     (len(ends), n_max + 1) array.
 
     A row (p, a, b) stands for p exp(a w + b u w) / Delta(u) with u = 1 - s,
-    Delta(u) = 1 + T u + K u^2 and w = u / Delta(u).  Each paired row enters
-    as (p G + conj(p) Gbar) / 2, Gbar carrying the conjugated a and b, whose
-    coefficients are the real parts of p G's.  So p, a and b are (16, 1)
-    arrays, the 8 paired rows each followed by its conjugate, grouped by
-    class: class c spans rows ends[c - 1]:ends[c], the first from 0.  A
-    class's samples on s = e^{-2 pi i k / N} are then Hermitian in k, and the
-    half circle k = 0..N/2 holds them all.  One block pass over the 16 rows
-    evaluates every term at _KERNEL_BLOCK samples at a time, each class sum
-    adds its rows in row order, and one batched irfft returns every class's
-    coefficients.  Only the (16, block) terms are temporaries, so memory
+    Delta(u) = 1 + T u + K u^2 and w = u / Delta(u).  p, a and b are (8, 1)
+    arrays, the paired rows grouped by class: class c spans rows
+    ends[c - 1]:ends[c], the first from 0.  Each class holds the conjugate of
+    every row it holds (the Hermitian conjugate of the state, _pnd), so its
+    coefficients are real, its samples on s = e^{-2 pi i k / N} are Hermitian
+    in k, and the half circle k = 0..N/2 holds them all.  One block pass over
+    the 8 rows evaluates every term at _KERNEL_BLOCK samples at a time, each
+    class sum adds its rows in row order, and one batched irfft returns every
+    class's coefficients.  Only the (8, block) terms are temporaries, so memory
     beyond the samples and the result does not grow with n_max.  N is
     _fft_length(2 (n_max + 1)), at most 1.16 times 2 (n_max + 1), so the
     aliased terms P(n + N), ... lie beyond twice the truncation, far below the
@@ -134,7 +133,7 @@ def _real_coefficients(t_coef: float, k_coef: float, p, a, b, ends, n_max: int) 
         terms = p * np.exp(z, out=z)
         for c, (start, stop) in enumerate(zip((0, *ends), ends)):
             np.add.reduce(terms[start:stop], axis=0, out=sums[c, cols])
-    sums *= 0.5 / den  # the 1/2 of the symmetrized rows
+    sums /= den
     return np.fft.irfft(sums, size)[:, : n_max + 1]
 
 
@@ -144,11 +143,11 @@ def _paired_prefactors(ev: EvolvedTerms) -> np.ndarray:
 
 
 def _class_layout(classes: tuple, kinds: tuple) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-    """The classes, the order of the 16 symmetrized rows, row i of 0..7
-    followed by its conjugate i + 8, that groups them by class (row order kept
-    within a class), and the end of each class's rows in that order."""
-    order = tuple(j for kind in classes for i in range(8) if kinds[i] is kind for j in (i, i + 8))
-    return classes, order, tuple(itertools.accumulate(2 * kinds.count(kind) for kind in classes))
+    """The classes, the order of the 8 paired rows that groups them by class
+    (row order kept within a class), and the end of each class's rows in that
+    order."""
+    order = tuple(i for kind in classes for i in range(8) if kinds[i] is kind)
+    return classes, order, tuple(itertools.accumulate(kinds.count(kind) for kind in classes))
 
 
 # every record's rows have rho_terms' kinds; one mode alone has one class, None
@@ -174,12 +173,12 @@ def _chernoff_n_max(norm: float, t_coef: float, k_coef: float, p, a, b) -> int:
 
         sum_{n > N} P(n) <= G(s) / s^(N + 1),  N = ceil(log(G(s) / target) / log s) - 1.
 
-    At u = 1 - s = -v the conjugate rows add the conjugates of the paired
-    rows' terms, so G(s) = norm Re sum p exp(a w + b u w) / Delta(u) over the
-    paired rows, summed in log space.  Delta(-v) = (1 - lam_+ v)(1 - lam_- v),
-    lam the roots of t^2 - T t + K (the covariance's eigenvalues, for the
-    sum), so v stays below 0.98 / lam_max.  Points where G is not finite and
-    positive (the sum cancels, or leaves float range) are skipped.
+    At u = 1 - s = -v the paired rows, closed under conjugation, give
+    G(s) = norm Re sum p exp(a w + b u w) / Delta(u), summed in log space.
+    Delta(-v) = (1 - lam_+ v)(1 - lam_- v), lam the roots of t^2 - T t + K
+    (the covariance's eigenvalues, for the sum), so v stays below
+    0.98 / lam_max.  Points where G is not finite and positive (the sum
+    cancels, or leaves float range) are skipped.
     """
     lam_max = 0.5 * (t_coef + math.sqrt(max(t_coef * t_coef - 4.0 * k_coef, 0.0)))
     v = _CHERNOFF_V[: np.searchsorted(_CHERNOFF_V, 0.98 / lam_max)] if lam_max else _CHERNOFF_V
@@ -208,7 +207,8 @@ def _pnd(system: System, t: float, n_max, mode: int | None):
     rows = np.array((_paired_prefactors(ev), a[:8], b[:8]))
     n_max = (_chernoff_n_max(ev.norm, t_coef, k_coef, *rows[..., None]) if n_max is None
              else _count("n_max", n_max))
-    p, a, b = np.concatenate((rows, rows.conj()), axis=1).take(order, axis=1)[..., None]
+    # averaged with its adjoint's conjugate, row _ADJOINT[i] is row i's exact conjugate
+    p, a, b = (0.5 * (rows + rows[:, _ADJOINT].conj())).take(order, axis=1)[..., None]
     parts = ev.norm * _real_coefficients(t_coef, k_coef, p, a, b, ends, n_max)
     probs = np.add.reduce(parts, axis=0, initial=-0.0)  # -0.0 + x is x, a zero's sign too
     tail = 1.0 - float(np.sum(probs))

@@ -42,6 +42,9 @@ _KINDS = tuple(
     else TermClass.MIXTURE
     for off1, off2 in zip(_OFF1, _OFF2)
 )
+# the adjoint swaps each mode's ket and bra signs: by parity, paired row i to row _ADJOINT[i]
+_SWAPPED = _NEG1B << 3 | _NEG1K << 2 | _NEG2B << 1 | _NEG2K
+_ADJOINT = np.minimum(_SWAPPED, 15 - _SWAPPED)[:8]
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,10 @@ class TestPropagator:
             else:
                 expect[-offset:] += coef * v[:coef.size]
         monkeypatch.setattr(oracle, "_ROW_BLOCK", block)
-        assert np.array_equal(oracle._apply(diagonals, v), expect)
+        # out starts as NaN: every entry is written, none accumulates onto it
+        out = np.full_like(v, np.nan)
+        assert oracle._apply(diagonals, v, out, np.empty(min(block, v.size), complex)) is out
+        assert np.array_equal(out, expect)
         dense = sum(np.diag(coef, offset) for offset, coef in diagonals)
         assert np.allclose(expect, dense @ v, rtol=0, atol=1e-14 * np.max(np.abs(dense @ v)))
 

@@ -15,6 +15,7 @@ from scipy.special import eval_laguerre
 import catamp as ca
 from catamp import oracle, photon_stats
 from catamp.photon_stats import TruncationWarning, _taylor_coefficients
+from catamp.rho_terms import _ADJOINT
 
 from conftest import CAT_MAKERS, amplifiers, cats, make_system, random_cat, swap_modes
 
@@ -610,6 +611,41 @@ class TestPairedKernel:
             assert ev.kind[15 - i] == ev.kind[i]
             assert bits(15 - i) == bits(i)
 
+    @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
+    def test_adjoint_rows_are_conjugates(self, label, system, t):
+        # the evolved state stays Hermitian: paired row _ADJOINT[i] carries the
+        # conjugate (p, a, b) of row i, to rounding, for the sum and each mode
+        ev = ca.evolve_terms(system, t)
+        p = ev.prefactor[:8] + ev.prefactor[:7:-1]
+        for mode in (None, 1, 2):
+            for row in (p, *ca.generating_quantities(ev, mode)[2:]):
+                scale = max(np.max(np.abs(row[:8])), 1e-300)
+                assert np.max(np.abs(row[:8][_ADJOINT] - row[:8].conj())) <= 1e-12 * scale
+
+    @pytest.mark.filterwarnings("ignore::catamp.photon_stats.TruncationWarning")
+    @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
+    def test_kernel_rows_are_exact_adjoint_conjugates(self, label, system, t, monkeypatch):
+        # the (p, a, b) rows the kernel receives, put back in row order: row
+        # _ADJOINT[i] equals row i's conjugate (as floats: a self-adjoint row's
+        # imaginary +0.0 conjugates to -0.0), and they are the reference's rows
+        calls = []
+        kernel = photon_stats._real_coefficients
+        monkeypatch.setattr(photon_stats, "_real_coefficients",
+                            lambda *args: calls.append(args) or kernel(*args))
+        ev = ca.evolve_terms(system, t)
+        for mode in (None, 1, 2):
+            calls.clear()
+            if mode is None:
+                ca.sum_pnd(system, t, n_max=8)
+            else:
+                ca.single_pnd(mode, system, t, n_max=8)
+            _, _, p, a, b, _, _ = calls[0]
+            layout = photon_stats._SUM_LAYOUT if mode is None else photon_stats._MODE_LAYOUT
+            rows = np.empty((8, 3), complex)
+            rows[list(layout[1])] = np.hstack((p, a, b))
+            assert np.array_equal(rows[_ADJOINT], rows.conj())
+            assert rows.tobytes() == np.array(symmetrized_rows(ev, mode)).tobytes()
+
 
 # --- the generating-function kernel: aliasing, a 40-digit reference, overflow ----------
 
@@ -685,31 +721,39 @@ class TestGeneratingFunctionKernel:
 
 
 def loop_coefficients(t_coef, k_coef, rows, n_max, size=None):
-    """The reference for the block kernel: one array pass per row (kind, p, a, b)
-    and per conjugate, accumulated per class in row order, one irfft per class,
-    at the kernel's FFT length unless a size is given."""
+    """The reference for the block kernel: one array pass per row (kind, p, a, b),
+    accumulated per class in row order, one irfft per class, at the kernel's
+    FFT length unless a size is given."""
     size = size or photon_stats._fft_length(2 * (n_max + 1))
     u = -np.expm1(np.arange(size // 2 + 1) * (-2j * math.pi / size))
     den = 1.0 + t_coef * u + k_coef * u * u
     w = u / den
     uw = u * w
     sums = {}
-    for kind, pref, a, b in rows:
+    for kind, p, a, b in rows:
         acc = sums.setdefault(kind, np.zeros_like(u))
-        for p, ap, bp in ((pref, a, b), (pref.conjugate(), a.conjugate(), b.conjugate())):
-            z = ap * w + bp * uw
-            acc += p * np.exp(z, out=z)
-    base = 0.5 / den
-    return {kind: np.fft.irfft(acc * base, size)[: n_max + 1] for kind, acc in sums.items()}
+        z = a * w + b * uw
+        acc += p * np.exp(z, out=z)
+    return {kind: np.fft.irfft(acc / den, size)[: n_max + 1] for kind, acc in sums.items()}
+
+
+def symmetrized_rows(ev, mode):
+    """The 8 paired rows (p, a, b), each averaged with the conjugate of its
+    adjoint, row _ADJOINT[i], one scalar at a time."""
+    _, _, a, b = ca.generating_quantities(ev, mode)
+    rows = list(zip((ev.prefactor[:8] + ev.prefactor[:7:-1]).tolist(),
+                    a[:8].tolist(), b[:8].tolist()))
+    return [tuple(0.5 * (x + y.conjugate()) for x, y in zip(row, rows[j]))
+            for row, j in zip(rows, _ADJOINT)]
 
 
 def loop_pnd(system, t, n_max, mode, size=None):
-    """P(n) and the class parts from loop_coefficients, summed part by part."""
+    """P(n) and the class parts from loop_coefficients on the symmetrized
+    rows, summed part by part."""
     ev = ca.evolve_terms(system, t)
-    t_coef, k_coef, a, b = ca.generating_quantities(ev, mode)
+    t_coef, k_coef, _, _ = ca.generating_quantities(ev, mode)
     kinds, order = (ev.kind[:8], ca.TermClass) if mode is None else ((None,) * 8, (None,))
-    prefactors = (ev.prefactor[:8] + ev.prefactor[:7:-1]).tolist()
-    rows = zip(kinds, prefactors, a[:8].tolist(), b[:8].tolist())
+    rows = ((kind, *row) for kind, row in zip(kinds, symmetrized_rows(ev, mode)))
     coeffs = loop_coefficients(t_coef, k_coef, rows, n_max, size)
     parts = {kind: ev.norm * coeffs[kind] for kind in order}
     return functools.reduce(np.add, parts.values()), parts
@@ -740,7 +784,7 @@ def assert_matches_row_loop(system, t, n_max):
 
 
 class TestBlockKernelReference:
-    """_real_coefficients (16 rows per block pass) bit for bit against the row loop."""
+    """_real_coefficients (8 rows per block pass) bit for bit against the row loop."""
 
     def test_edge_sample_counts(self):
         assert tuple(photon_stats._fft_length(2 * (n + 1)) // 2 + 1

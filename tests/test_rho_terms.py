@@ -6,7 +6,7 @@ import pytest
 
 import catamp as ca
 from catamp import oracle
-from catamp.rho_terms import coherent_overlap
+from catamp.rho_terms import _ADJOINT, _KINDS, coherent_overlap
 
 
 def _rows(table):
@@ -68,6 +68,22 @@ class TestEnumeration:
                 assert np.array_equal(col[::-1], -col)
             assert table.kind[::-1] == table.kind
             assert np.allclose(table.weight[::-1], np.conj(table.weight), rtol=0, atol=1e-15)
+
+    def test_adjoint_is_a_class_keeping_involution(self):
+        assert sorted(_ADJOINT.tolist()) == list(range(8))
+        for i, j in enumerate(_ADJOINT):
+            assert _ADJOINT[j] == i and _KINDS[j] is _KINDS[i]
+
+    def test_adjoint_maps_a_paired_row_to_its_conjugate(self, rng):
+        # row i's adjoint (ket and bra swapped in each mode, conjugate weight)
+        # is row _ADJOINT[i] or its parity partner 15 - _ADJOINT[i]
+        from conftest import random_cat
+
+        for _ in range(6):
+            rows = _rows(ca.enumerate_terms(random_cat(rng), random_cat(rng))[0])
+            for i, j in enumerate(_ADJOINT):
+                k1, b1, k2, b2, w = rows[i]
+                assert (b1, k1, b2, k2, w.conjugate()) in (rows[j], rows[15 - j])
 
     def test_canonical_ordering(self):
         table, _ = ca.enumerate_terms(ca.CatSpec.even(1.0), ca.CatSpec.even(2.0))
