@@ -9,10 +9,10 @@ and the row's weights a, b (generating_quantities) it is
 and P(n) = N1^2 N2^2 Re sum_i p_i [s^n] G_i(s).  For the sum n1 + n2,
 Delta(u) = det(I + u Sigma): T = B1N + B2N, K = B1N B2N - |D|^2; one mode
 alone has T = B_jN and K = b = 0.  The distributions read every coefficient
-n <= n_max at once from samples of G on the roots of unity: one block pass
-over the 8 paired rows (closed under the adjoint, class by class) per block of
-samples, class sums in row order, and one batched inverse FFT for all classes,
-at a 5-smooth length; the block width bounds the working set at any n_max.
+n <= n_max at once from samples of G on the roots of unity: one array pass
+per paired row (the 8 rows are closed under the adjoint, class by class), class
+sums in row order, and one batched inverse FFT for all classes, at a 5-smooth
+length; the working set is a fixed number of sample vectors at any n_max.
 The automatic n_max comes from a Chernoff bound on the tail, G(s) /
 s^(n_max + 1) over real s > 1, so one kernel call meets the tail target.  The
 factorial moments <W^k> are k! times the Taylor coefficients of G about
@@ -29,7 +29,6 @@ evaluated, each weighted by the paired prefactor of rows i and 15 - i.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -81,11 +80,6 @@ def generating_quantities(
     return b1 + b2, b1 * b2 - abs(d) ** 2, -(c1 + c2), cross - c1 * b2 - c2 * b1
 
 
-# half-circle samples per block pass: the (16, block) temporaries stay small
-# (131 kB) at figure 6's n_max and at the 2^20 cap alike
-_KERNEL_BLOCK = 512
-
-
 def _fft_length(n: int) -> int:
     """The smallest even 2^i 3^j 5^k >= n: a length pocketfft transforms in
     radix passes, never by Bluestein's algorithm over a large prime factor."""
@@ -99,22 +93,19 @@ def _fft_length(n: int) -> int:
     return 2 * best
 
 
-def _real_coefficients(t_coef: float, k_coef: float, p, a, b, ends, n_max: int) -> np.ndarray:
-    """Re [s^n] of each class's generating function, n = 0..n_max, as a
-    (len(ends), n_max + 1) array.
+def _real_coefficients(t_coef: float, k_coef: float, rows, n_max: int) -> np.ndarray:
+    """Re [s^n] of each class's generating function, n = 0..n_max, as an
+    (n_classes, n_max + 1) array.
 
-    A row (p, a, b) stands for p exp(a w + b u w) / Delta(u) with u = 1 - s,
-    Delta(u) = 1 + T u + K u^2 and w = u / Delta(u).  p, a and b are (8, 1)
-    arrays, the paired rows grouped by class: class c spans rows
-    ends[c - 1]:ends[c], the first from 0.  Each class holds the conjugate of
-    every row it holds (the Hermitian conjugate of the state, _pnd), so its
-    coefficients are real, its samples on s = e^{-2 pi i k / N} are Hermitian
-    in k, and the half circle k = 0..N/2 holds them all.  One block pass over
-    the 8 rows evaluates every term at _KERNEL_BLOCK samples at a time, each
-    class sum adds its rows in row order, and one batched irfft returns every
-    class's coefficients.  Only the (8, block) terms are temporaries, so memory
-    beyond the samples and the result does not grow with n_max.  N is
-    _fft_length(2 (n_max + 1)), at most 1.16 times 2 (n_max + 1), so the
+    A row (c, p, a, b) of class c stands for p exp(a w + b u w) / Delta(u)
+    with u = 1 - s, Delta(u) = 1 + T u + K u^2 and w = u / Delta(u).  Each
+    class holds the conjugate of every row it holds (the Hermitian conjugate of
+    the state, _pnd), so its coefficients are real, its samples on
+    s = e^{-2 pi i k / N} are Hermitian in k, and the half circle k = 0..N/2
+    holds them all.  Each row is one array pass over the samples, added to its
+    class sum in row order, and one batched irfft returns every class's
+    coefficients, so memory is a fixed number of sample vectors at any n_max.
+    N is _fft_length(2 (n_max + 1)), at most 1.16 times 2 (n_max + 1), so the
     aliased terms P(n + N), ... lie beyond twice the truncation, far below the
     tail target, and the rows past n_max are dropped.
     """
@@ -123,16 +114,11 @@ def _real_coefficients(t_coef: float, k_coef: float, p, a, b, ends, n_max: int) 
     den = 1.0 + t_coef * u + k_coef * u * u
     w = u / den
     uw = u * w
-    sums = np.empty((len(ends), u.size), dtype=complex)
-    # a last block of one column would be summed pairwise, not in row order,
-    # so it joins the block before (u.size >= 2)
-    starts = range(0, u.size - 1, _KERNEL_BLOCK)
-    for lo, hi in zip(starts, (*starts[1:], u.size)):
-        cols = slice(lo, hi)
-        z = a * w[cols] + b * uw[cols]
-        terms = p * np.exp(z, out=z)
-        for c, (start, stop) in enumerate(zip((0, *ends), ends)):
-            np.add.reduce(terms[start:stop], axis=0, out=sums[c, cols])
+    # -0.0 + x is x, a zero's sign too: each class sum starts at its first row
+    sums = np.full((1 + max(row[0] for row in rows), u.size), complex(-0.0, -0.0))
+    for c, p, a, b in rows:
+        z = a * w + b * uw
+        np.add(sums[c], np.multiply(p, np.exp(z, out=z), out=z), out=sums[c])
     sums /= den
     return np.fft.irfft(sums, size)[:, : n_max + 1]
 
@@ -142,17 +128,8 @@ def _paired_prefactors(ev: EvolvedTerms) -> np.ndarray:
     return ev.prefactor[:8] + ev.prefactor[:7:-1]
 
 
-def _class_layout(classes: tuple, kinds: tuple) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-    """The classes, the order of the 8 paired rows that groups them by class
-    (row order kept within a class), and the end of each class's rows in that
-    order."""
-    order = tuple(i for kind in classes for i in range(8) if kinds[i] is kind)
-    return classes, order, tuple(itertools.accumulate(kinds.count(kind) for kind in classes))
-
-
-# every record's rows have rho_terms' kinds; one mode alone has one class, None
-_SUM_LAYOUT = _class_layout(tuple(TermClass), _KINDS[:8])
-_MODE_LAYOUT = _class_layout((None,), (None,) * 8)
+# the class of each paired row, as an index into TermClass
+_ROW_CLASS = tuple(tuple(TermClass).index(kind) for kind in _KINDS[:8])
 
 
 # auto-truncation targets a tail well below the normalization tolerance, and
@@ -203,13 +180,14 @@ def _pnd(system: System, t: float, n_max, mode: int | None):
     """
     ev = evolve_terms(system, t)
     t_coef, k_coef, a, b = generating_quantities(ev, mode)
-    classes, order, ends = _SUM_LAYOUT if mode is None else _MODE_LAYOUT
     rows = np.array((_paired_prefactors(ev), a[:8], b[:8]))
     n_max = (_chernoff_n_max(ev.norm, t_coef, k_coef, *rows[..., None]) if n_max is None
              else _count("n_max", n_max))
     # averaged with its adjoint's conjugate, row _ADJOINT[i] is row i's exact conjugate
-    p, a, b = (0.5 * (rows + rows[:, _ADJOINT].conj())).take(order, axis=1)[..., None]
-    parts = ev.norm * _real_coefficients(t_coef, k_coef, p, a, b, ends, n_max)
+    p, a, b = 0.5 * (rows + rows[:, _ADJOINT].conj())
+    # one mode alone has one class, None
+    classes, row_class = (tuple(TermClass), _ROW_CLASS) if mode is None else ((None,), (0,) * 8)
+    parts = ev.norm * _real_coefficients(t_coef, k_coef, list(zip(row_class, p, a, b)), n_max)
     probs = np.add.reduce(parts, axis=0, initial=-0.0)  # -0.0 + x is x, a zero's sign too
     tail = 1.0 - float(np.sum(probs))
     if not math.isfinite(tail):
@@ -261,8 +239,6 @@ def factorial_moments(
         return 1.0, 0.0
     moments = _factorial_moments(ev, quantities, k)
     wk, w1 = moments[k], moments[1]
-    if k == 1:
-        return wk, 0.0
     if w1 == 0.0:
         return wk, float("nan")
     return wk, wk / w1**k - 1.0

@@ -142,8 +142,8 @@ def wigner_cut(system: System, t: float, y: float = -0.25,
         spec = default_grid(system, t, mode)
         x = np.linspace(spec.x_min, spec.x_max, spec.nx)
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a 1-D array of finite values")
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+        raise ValueError("x must be a 1-D array of finite values with at least one point")
     return x, _wigner_sum(evolve_terms(system, t), x, y, mode)
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import mpmath
@@ -509,6 +510,16 @@ class TestFactorialMoments:
         with pytest.raises(ValueError):
             ca.factorial_moments(system, 0.1, 65)
 
+    def test_first_normalized_is_nan_at_zero_mean(self):
+        # <W>/<W> - 1 is NaN at <W> = 0 (vacuum, no evolution) and exactly 0 elsewhere
+        vacuum = ca.System(ca.CatSpec.even(0.0), ca.CatSpec.even(0.0), ca.AmplifierParams(g=0.0))
+        _, system, t = SWEEP[0]
+        for scope, mode in (("compound", 1), ("single", 1), ("single", 2)):
+            w1, kc = ca.factorial_moments(vacuum, 0.0, 1, scope=scope, mode=mode)
+            assert w1 == 0.0 and math.isnan(kc)
+            w1, kc = ca.factorial_moments(system, t, 1, scope=scope, mode=mode)
+            assert w1 > 0.0 and kc == 0.0
+
 
 # --- the parity-paired FFT kernel against the direct 16-term formula -----------------
 
@@ -625,9 +636,9 @@ class TestPairedKernel:
     @pytest.mark.filterwarnings("ignore::catamp.photon_stats.TruncationWarning")
     @pytest.mark.parametrize("label, system, t", SWEEP, ids=[c[0] for c in SWEEP])
     def test_kernel_rows_are_exact_adjoint_conjugates(self, label, system, t, monkeypatch):
-        # the (p, a, b) rows the kernel receives, put back in row order: row
-        # _ADJOINT[i] equals row i's conjugate (as floats: a self-adjoint row's
-        # imaginary +0.0 conjugates to -0.0), and they are the reference's rows
+        # the (p, a, b) rows the kernel receives, in row order: row _ADJOINT[i]
+        # equals row i's conjugate (as floats: a self-adjoint row's imaginary
+        # +0.0 conjugates to -0.0), and they are the reference's rows
         calls = []
         kernel = photon_stats._real_coefficients
         monkeypatch.setattr(photon_stats, "_real_coefficients",
@@ -639,10 +650,8 @@ class TestPairedKernel:
                 ca.sum_pnd(system, t, n_max=8)
             else:
                 ca.single_pnd(mode, system, t, n_max=8)
-            _, _, p, a, b, _, _ = calls[0]
-            layout = photon_stats._SUM_LAYOUT if mode is None else photon_stats._MODE_LAYOUT
-            rows = np.empty((8, 3), complex)
-            rows[list(layout[1])] = np.hstack((p, a, b))
+            _, _, kernel_rows, _ = calls[0]
+            rows = np.array([row[1:] for row in kernel_rows])
             assert np.array_equal(rows[_ADJOINT], rows.conj())
             assert rows.tobytes() == np.array(symmetrized_rows(ev, mode)).tobytes()
 
@@ -717,13 +726,13 @@ class TestGeneratingFunctionKernel:
             assert not (math.isnan(wk) or math.isnan(kc))
 
 
-# --- the block kernel against a per-row reference loop ---------------------------------
+# --- the kernel against a per-row reference loop --------------------------------------
 
 
 def loop_coefficients(t_coef, k_coef, rows, n_max, size=None):
-    """The reference for the block kernel: one array pass per row (kind, p, a, b),
-    accumulated per class in row order, one irfft per class, at the kernel's
-    FFT length unless a size is given."""
+    """The reference for the kernel: one array pass per row (kind, p, a, b),
+    accumulated per class from zero in row order, one irfft per class, at the
+    kernel's FFT length unless a size is given."""
     size = size or photon_stats._fft_length(2 * (n_max + 1))
     u = -np.expm1(np.arange(size // 2 + 1) * (-2j * math.pi / size))
     den = 1.0 + t_coef * u + k_coef * u * u
@@ -759,12 +768,10 @@ def loop_pnd(system, t, n_max, mode, size=None):
     return functools.reduce(np.add, parts.values()), parts
 
 
-# the kernel samples N / 2 + 1 points, N = _fft_length(2 (n_max + 1)): part of
-# one block, one block and one column (which a last block of one column would
-# sum pairwise), one block and 29 columns, three blocks and one column, four
-# blocks and 113 columns.  Exactly one block (N = 1022) cannot be reached:
-# N / 2 = 511 = 7 * 73 is not 5-smooth.
-BLOCK = photon_stats._KERNEL_BLOCK
+# the kernel samples N / 2 + 1 points, N = _fft_length(2 (n_max + 1)): the odd
+# counts 501, 512 + 1, 512 + 29, 3 * 512 + 1 and 4 * 512 + 113.  Exactly 512
+# samples (N = 1022) cannot be reached: N / 2 = 511 = 7 * 73 is not 5-smooth.
+BLOCK = 512
 EDGE_N_MAX = (BLOCK - 13, BLOCK - 1, BLOCK, 3 * BLOCK - 1, 4 * BLOCK)
 EDGE_SAMPLES = (501, BLOCK + 1, BLOCK + 29, 3 * BLOCK + 1, 4 * BLOCK + 113)
 FIG6 = ca.System(ca.CatSpec.even(3.0), ca.CatSpec.even(2.0),
@@ -784,7 +791,7 @@ def assert_matches_row_loop(system, t, n_max):
 
 
 class TestBlockKernelReference:
-    """_real_coefficients (8 rows per block pass) bit for bit against the row loop."""
+    """_real_coefficients (one array pass per row) bit for bit against the row loop."""
 
     def test_edge_sample_counts(self):
         assert tuple(photon_stats._fft_length(2 * (n + 1)) // 2 + 1
@@ -819,6 +826,23 @@ class TestBlockKernelReference:
             if dist.class_parts is not None:
                 total = functools.reduce(np.add, dist.class_parts.values())
                 assert dist.probs.tobytes() == total.tobytes()
+
+
+class TestKernelMemory:
+    def test_working_set_is_a_few_sample_vectors(self):
+        # the kernel holds the samples, the class sums and one row's terms at a
+        # time, never the (8, N / 2 + 1) terms of all rows: figure 6's
+        # distributions peak below 12 vectors of N / 2 + 1 complex samples
+        for pnd in (ca.sum_pnd, functools.partial(ca.single_pnd, 1)):
+            pnd(FIG6, 3e-4)  # the record is cached and numpy.fft imported before tracing
+            tracemalloc.start()
+            try:
+                dist = pnd(FIG6, 3e-4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            vector = 16 * (photon_stats._fft_length(2 * (dist.n_max + 1)) // 2 + 1)
+            assert peak < 12 * vector
 
 
 # --- automatic truncation: one kernel call, at a 5-smooth FFT length -------------------

@@ -224,6 +224,11 @@ class TestCutAndPeaks:
         with pytest.raises(ValueError, match="x must be a 1-D array of finite values"):
             ca.wigner_cut(system, 0.3, x=np.array([0.0, bad, 1.0]))
 
+    def test_empty_cut_x_rejected(self):
+        system = make_system("even", 1.5, "even", 1.0)
+        with pytest.raises(ValueError, match="x must be .* with at least one point"):
+            ca.wigner_cut(system, 0.3, x=np.array([]))
+
     @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max"])
     def test_non_finite_bounds_rejected(self, field):
         bounds = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0)
