@@ -161,6 +161,45 @@ def _strict_maxima(v: np.ndarray, cut: float) -> list[tuple[float, int, int]]:
     )
 
 
+def _reaches_higher(v: np.ndarray, floor: float, val: float, j: int, i: int) -> bool:
+    """Whether the 4-connected component of {v > floor} holding (j, i) has a
+    value above val.
+
+    The component grows one 4-neighbour step at a time inside a window of
+    radius r around (j, i).  After s <= r steps it lies within s pixels of
+    (j, i), so the window changes nothing; then the grown part moves into a
+    window of twice the radius.
+    """
+    comp, y0, x0 = np.ones((1, 1), dtype=bool), j, i
+    size, steps, r = 1, 0, 8
+    while True:
+        wy0, wx0 = max(j - r, 0), max(i - r, 0)
+        win = v[wy0 : j + r + 1, wx0 : i + r + 1]
+        h, w = win.shape
+        # a -inf column ends each row, so the flat shifts by 1 and w + 1 reach
+        # the 4 neighbours and never wrap into the next row
+        padded = np.full((h, w + 1), -np.inf)
+        padded[:, :w] = win
+        inside, higher = (padded > floor).ravel(), (padded > val).ravel()
+        cur = np.zeros((h, w + 1), dtype=bool)
+        cur[y0 - wy0 : y0 - wy0 + comp.shape[0], x0 - wx0 : x0 - wx0 + comp.shape[1]] = comp
+        cur = cur.ravel()
+        while steps < r:
+            steps += 1
+            grown = cur.copy()
+            for shift in (1, w + 1):
+                grown[shift:] |= cur[:-shift]
+                grown[:-shift] |= cur[shift:]
+            grown &= inside
+            if np.count_nonzero(grown & higher):
+                return True
+            grown_size = np.count_nonzero(grown)
+            if grown_size == size:
+                return False
+            cur, size = grown, grown_size
+        comp, y0, x0, r = cur.reshape(h, w + 1), wy0, wx0, 2 * r
+
+
 def count_peaks(grid: PhaseGrid) -> int:
     """Number of well-separated maxima above 5 % of the maximum.
 
@@ -169,21 +208,16 @@ def count_peaks(grid: PhaseGrid) -> int:
     only when it rises at least _REL_PROMINENCE * max above the saddle that
     connects it to higher ground, i.e. when the 4-connected component of
     {W > val - _REL_PROMINENCE * max} holding it has no value above val: one
-    labelling per maximum.  This keeps the count grid-resolution independent
-    (a broad lobe does not split into several peaks over percent-deep ripples).
+    windowed flood fill per maximum (_reaches_higher).  This keeps the count
+    grid-resolution independent (a broad lobe does not split into several
+    peaks over percent-deep ripples).
     """
     v = grid.values
     vmax = float(np.max(v))
     if vmax <= 0.0:
         return 0
     maxima = _strict_maxima(v, _REL_THRESHOLD * vmax)
-    if len(maxima) < 2:
-        return len(maxima)
-    # imported here so that a grid with one maximum never loads scipy.ndimage
-    from scipy import ndimage
-
-    count = 1
-    for val, j, i in maxima[1:]:
-        labels, _ = ndimage.label(v > val - _REL_PROMINENCE * vmax)
-        count += float(np.max(v[labels == labels[j, i]])) <= val
-    return count
+    return len(maxima[:1]) + sum(
+        not _reaches_higher(v, val - _REL_PROMINENCE * vmax, val, j, i)
+        for val, j, i in maxima[1:]
+    )

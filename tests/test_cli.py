@@ -412,15 +412,31 @@ class TestOtherCommands:
         meta = json.loads((tmp_path / "oc.meta.json").read_text())
         assert meta["max_abs_deviation"] < 1e-6
 
-    def test_oracle_check_loads_no_scipy(self, tmp_path):
-        cfg = write_config(tmp_path, {"out": str(tmp_path / "pnd.csv"), "n_max": 40})
+    def test_no_command_loads_scipy(self, tmp_path):
+        # the wigner config is figure 1b's system (nine counted peaks), so
+        # count_peaks resolves secondary maxima there as in figure 2b
+        configs = {
+            "wigner": {"cat1": {"kind": "even", "amp_mag": 3.0},
+                       "cat2": {"kind": "even", "amp_mag": 2.0}, "time": 0.55},
+            "scan": {"observable": "Q", "scan": {"parameter": "t", "values": [0.1, 0.2]}},
+            "pnd": {"n_max": 40},
+            "squeeze": {},
+        }
+        runs = [["figure", "2b", "--out", str(tmp_path / "2b.csv")],
+                ["oracle-check", "--envelope", "small", "--strict",
+                 "--out", str(tmp_path / "oc.csv")]]
+        for command, extra in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(dict(BASE_CONFIG, out=str(tmp_path / f"{command}.csv"),
+                                            **extra)))
+            runs.append([command, "--config", str(path)])
         run_fresh_python(f"""
-            import sys
+            import json, sys
             from catamp.cli import main
-            assert main(["figure", "8a", "--out", {str(tmp_path / "8a.csv")!r}]) == 0
-            assert main(["pnd", "--config", {cfg!r}]) == 0
-            assert main(["oracle-check", "--envelope", "small", "--strict",
-                         "--out", {str(tmp_path / "oc.csv")!r}]) == 0
+            for argv in {runs!r}:
+                assert main(argv) == 0, argv
+            with open({str(tmp_path / "wigner.meta.json")!r}) as f:
+                assert json.load(f)["features"]["peak_count"] > 2
             loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
             assert not loaded, loaded
         """)
